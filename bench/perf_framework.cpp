@@ -11,8 +11,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/coordinator.hpp"
@@ -28,7 +30,6 @@
 #include "opt/platform.hpp"
 #include "reduce/reduce.hpp"
 #include "store/store.hpp"
-#include "support/cpu.hpp"
 #include "support/json.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/interp.hpp"
@@ -189,106 +190,6 @@ void BM_CompareNWay(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareNWay)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-/// Engine axis for the SIMD benchmarks: 0=off 1=scalar1 2=scalar 3=avx2.
-support::SimdOverride bench_engine(std::int64_t arg) {
-  switch (arg) {
-    case 0: return support::SimdOverride::Off;
-    case 1: return support::SimdOverride::Scalar1;
-    case 2: return support::SimdOverride::Scalar;
-    default: return support::SimdOverride::Avx2;
-  }
-}
-
-/// Pin the lane engine for one benchmark run; restores on destruction.
-/// Returns false (and skips the benchmark) when the engine cannot run on
-/// this host/build, so the JSON trajectory stays comparable across hosts.
-struct BenchEngine {
-  explicit BenchEngine(benchmark::State& state)
-      : saved(support::simd_override()) {
-    const support::SimdOverride mode = bench_engine(state.range(0));
-    support::set_simd_override(mode);
-    try {
-      (void)vgpu::simd_engine();
-      state.SetLabel(support::to_string(mode));
-      ok = true;
-    } catch (const std::exception&) {
-      state.SkipWithError("engine unavailable on this host");
-    }
-  }
-  ~BenchEngine() { support::set_simd_override(saved); }
-  const support::SimdOverride saved;
-  bool ok = false;
-};
-
-/// Raw batched VM throughput per lane engine: 32 inputs through
-/// run_kernel_batch on one compiled platform, no diff layer — the
-/// speedup here is the lane engine itself.
-void BM_RunBatchSimd(benchmark::State& state) {
-  BenchEngine engine(state);
-  if (!engine.ok) return;
-  // Both precisions, like a campaign sweep: fp64 groups are 4 lanes wide
-  // and fp32 groups 8, so the pair prices the engine at both widths.
-  struct Leg {
-    opt::Executable exe;
-    std::vector<vgpu::KernelArgs> inputs;
-    std::vector<vgpu::RunResult> out;
-  };
-  std::vector<Leg> legs;
-  for (const auto prec : {ir::Precision::FP64, ir::Precision::FP32}) {
-    gen::GenConfig cfg;
-    cfg.precision = prec;
-    gen::Generator g(cfg, 42);
-    gen::InputGenerator ig(42);
-    const ir::Program p = g.generate(11);
-    Leg leg{opt::compile(p, {opt::Toolchain::Nvcc, opt::OptLevel::O2, false}),
-            {}, {}};
-    for (int ii = 0; ii < 32; ++ii) leg.inputs.push_back(ig.generate(p, 11, ii));
-    leg.out.resize(leg.inputs.size());
-    legs.push_back(std::move(leg));
-  }
-  for (auto _ : state) {
-    for (Leg& leg : legs) {
-      vgpu::run_kernel_batch(leg.exe, leg.inputs, leg.out.data());
-      benchmark::DoNotOptimize(leg.out.data());
-    }
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_RunBatchSimd)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
-
-/// BM_BatchedSweep with the engine pinned per run: the campaign-shaped
-/// sweep (compare_batch, both pair platforms) under each lane engine.
-/// Identical workload to BM_BatchedSweep, so off-vs-avx2 here is the
-/// end-to-end campaign speedup of the SIMD PR.
-void BM_BatchedSweepSimd(benchmark::State& state) {
-  BenchEngine engine(state);
-  if (!engine.ok) return;
-  // Both precisions through the pair sweep — the campaign runs fp64 and
-  // fp32 programs alike, so the off-vs-avx2 ratio here is the end-to-end
-  // speedup a campaign sees on lane-friendly programs.
-  struct Leg {
-    diff::CompiledSet pair;
-    std::vector<vgpu::KernelArgs> inputs;
-  };
-  std::vector<Leg> legs;
-  for (const auto prec : {ir::Precision::FP64, ir::Precision::FP32}) {
-    gen::GenConfig cfg;
-    cfg.precision = prec;
-    gen::Generator g(cfg, 42);
-    gen::InputGenerator ig(42);
-    const ir::Program p = g.generate(11);
-    Leg leg{diff::compile_pair(p, opt::OptLevel::O2), {}};
-    for (int ii = 0; ii < 32; ++ii) leg.inputs.push_back(ig.generate(p, 11, ii));
-    legs.push_back(std::move(leg));
-  }
-  diff::SweepContext sweep;
-  for (auto _ : state) {
-    for (Leg& leg : legs)
-      benchmark::DoNotOptimize(diff::compare_batch(leg.pair, leg.inputs, sweep));
-  }
-}
-BENCHMARK(BM_BatchedSweepSimd)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
-
 void BM_UnbatchedSweep(benchmark::State& state) {
   gen::GenConfig cfg;
   gen::Generator g(cfg, 42);
@@ -425,62 +326,81 @@ void BM_FullComparison(benchmark::State& state) {
 }
 BENCHMARK(BM_FullComparison);
 
+/// Stationary inputs for the scalar math benchmarks: kInputTable points
+/// x0, step(x0), step(step(x0)), ..., cycled, so the input range a row
+/// measures does not depend on how many iterations the library picks.
+constexpr std::size_t kInputTable = 1024;
+
+template <typename T, typename Step>
+std::vector<T> input_table(T x0, Step step) {
+  std::vector<T> xs(kInputTable);
+  for (T& x : xs) {
+    x = x0;
+    x0 = step(x0);
+  }
+  return xs;
+}
+
 void BM_SinMediumRange(benchmark::State& state) {
-  double x = 12345.678;
+  const auto xs = input_table(12345.678, [](double x) { return x + 1.0; });
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vmath::core::sin64(x, vmath::core::ReduceStyle::CodyWaite3));
-    x += 1.0;
+    benchmark::DoNotOptimize(vmath::core::sin64(
+        xs[i++ % kInputTable], vmath::core::ReduceStyle::CodyWaite3));
   }
 }
 BENCHMARK(BM_SinMediumRange);
 
 void BM_SinPayneHanek(benchmark::State& state) {
-  double x = 1.0e300;
+  // Geometric over [1e300, 1.6e308], the range the reduction serves.
+  const double ratio = std::pow(1.6e8, 1.0 / (kInputTable - 1));
+  const auto xs = input_table(1.0e300, [&](double x) { return x * ratio; });
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vmath::core::sin64(x, vmath::core::ReduceStyle::CodyWaite3));
-    x *= 1.0000001;
-    if (x > 1.6e308) x = 1.0e300;
+    benchmark::DoNotOptimize(vmath::core::sin64(
+        xs[i++ % kInputTable], vmath::core::ReduceStyle::CodyWaite3));
   }
 }
 BENCHMARK(BM_SinPayneHanek);
 
 void BM_FmodExact(benchmark::State& state) {
-  double x = 1.59e289;
+  const auto xs = input_table(1.59e289, [](double x) { return x * 1.0000001; });
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vmath::core::fmod_exact(x, 1.5793e-307));
-    x *= 1.0000001;
+    benchmark::DoNotOptimize(
+        vmath::core::fmod_exact(xs[i++ % kInputTable], 1.5793e-307));
   }
 }
 BENCHMARK(BM_FmodExact);
 
 void BM_FmodNvChunked(benchmark::State& state) {
   const auto& lib = vmath::nv_libdevice();
-  double x = 1.59e289;
+  const auto xs = input_table(1.59e289, [](double x) { return x * 1.0000001; });
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lib.call64(ir::MathFn::Fmod, x, 1.5793e-307));
-    x *= 1.0000001;
+    benchmark::DoNotOptimize(
+        lib.call64(ir::MathFn::Fmod, xs[i++ % kInputTable], 1.5793e-307));
   }
 }
 BENCHMARK(BM_FmodNvChunked);
 
 void BM_Exp64(benchmark::State& state) {
-  double x = -700.0;
+  // Evenly spaced over [-700, 700).
+  const auto xs = input_table(
+      -700.0, [](double x) { return x + 1400.0 / kInputTable; });
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vmath::core::exp64(x));
-    x += 0.001;
-    if (x > 700.0) x = -700.0;
+    benchmark::DoNotOptimize(vmath::core::exp64(xs[i++ % kInputTable]));
   }
 }
 BENCHMARK(BM_Exp64);
 
 void BM_FastSinf(benchmark::State& state) {
   const auto& lib = vmath::nv_fast();
-  float x = 0.0f;
+  const auto xs = input_table(0.0f, [](float x) { return x + 0.01f; });
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lib.call32(ir::MathFn::Sin, x));
-    x += 0.01f;
+    benchmark::DoNotOptimize(lib.call32(ir::MathFn::Sin, xs[i++ % kInputTable]));
   }
 }
 BENCHMARK(BM_FastSinf);

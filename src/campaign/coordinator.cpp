@@ -116,10 +116,14 @@ void Coordinator::serve(net::Socket socket) {
   std::string worker;  // empty until a hello succeeds
   while (!stop_.load()) {
     support::Json request;
+    std::string malformed;
     const net::IoStatus status = net::recv_message(
-        socket, &request, options_.io_timeout_seconds);
+        socket, &request, options_.io_timeout_seconds, &malformed);
     if (status == net::IoStatus::Timeout) continue;  // poll stop_
-    if (status != net::IoStatus::Ok) return;  // closed or desynchronized
+    if (status != net::IoStatus::Ok) {  // closed or desynchronized
+      net::refuse_malformed(socket, malformed, options_.io_timeout_seconds);
+      return;
+    }
     support::Json response;
     try {
       if (request.get_or("op", support::Json("")).as_string() == "hello")

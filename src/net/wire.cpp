@@ -10,17 +10,30 @@ IoStatus send_message(Socket& socket, const support::Json& message,
 }
 
 IoStatus recv_message(Socket& socket, support::Json* message,
-                      double timeout_seconds) {
+                      double timeout_seconds, std::string* malformed) {
   std::string line;
   const IoStatus status = socket.read_line(&line, timeout_seconds);
   if (status != IoStatus::Ok) return status;
   try {
     *message = support::Json::parse(line);
-  } catch (const std::exception&) {
+  } catch (const std::exception& e) {
+    if (malformed) *malformed = e.what();
     return IoStatus::Error;
   }
-  if (!message->is_object()) return IoStatus::Error;
+  if (!message->is_object()) {
+    if (malformed) *malformed = "message is not a JSON object";
+    return IoStatus::Error;
+  }
   return IoStatus::Ok;
+}
+
+void refuse_malformed(Socket& socket, const std::string& malformed,
+                      double timeout_seconds) {
+  if (malformed.empty()) return;  // an I/O failure, nothing to answer
+  (void)send_message(socket,
+                     error_response(0, "malformed message: " + malformed,
+                                    /*fatal=*/true),
+                     timeout_seconds);
 }
 
 IoStatus request_response(Socket& socket, support::Json request,

@@ -49,9 +49,18 @@ inline constexpr int kWireVersion = 1;
 IoStatus send_message(Socket& socket, const support::Json& message,
                       double timeout_seconds);
 
-/// Receive one message line and parse it.  A line that is not valid JSON
-/// returns Error (the connection is desynchronized beyond repair).
+/// Receive one message line and parse it.  A line that is not a JSON
+/// object (malformed, or nested deeper than Json::kMaxDepth) returns Error
+/// (the connection is desynchronized beyond repair) and, when `malformed`
+/// is given, stores why there.
 IoStatus recv_message(Socket& socket, support::Json* message,
+                      double timeout_seconds,
+                      std::string* malformed = nullptr);
+
+/// Server side of a failed recv_message: a malformed line is answered
+/// with a fatal error response (seq 0: the line carried none that can be
+/// trusted) before the caller drops the connection.
+void refuse_malformed(Socket& socket, const std::string& malformed,
                       double timeout_seconds);
 
 /// Client side of one request/response exchange under the seq discipline:

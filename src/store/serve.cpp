@@ -87,10 +87,14 @@ void StoreServer::serve(net::Socket socket) {
   bool greeted = false;
   while (!stop_.load()) {
     Json request;
-    const net::IoStatus status =
-        net::recv_message(socket, &request, options_.io_timeout_seconds);
+    std::string malformed;
+    const net::IoStatus status = net::recv_message(
+        socket, &request, options_.io_timeout_seconds, &malformed);
     if (status == net::IoStatus::Timeout) continue;  // poll stop_
-    if (status != net::IoStatus::Ok) return;  // closed or desynchronized
+    if (status != net::IoStatus::Ok) {  // closed or desynchronized
+      net::refuse_malformed(socket, malformed, options_.io_timeout_seconds);
+      return;
+    }
     Json response;
     try {
       if (request.get_or("op", Json("")).as_string() == "hello")

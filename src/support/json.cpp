@@ -225,7 +225,17 @@ class Parser {
     }
   }
 
+  /// Entered by every array/object; refuses nesting beyond kMaxDepth.
+  struct DepthGuard {
+    explicit DepthGuard(Parser& p) : parser(p) {
+      if (++parser.depth_ > Json::kMaxDepth) parser.fail("nesting too deep");
+    }
+    ~DepthGuard() { --parser.depth_; }
+    Parser& parser;
+  };
+
   Json parse_object() {
+    const DepthGuard guard(*this);
     expect_char('{');
     JsonObject obj;
     skip_ws();
@@ -245,6 +255,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const DepthGuard guard(*this);
     expect_char('[');
     JsonArray arr;
     skip_ws();
@@ -341,6 +352,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects at pos_
 };
 
 }  // namespace

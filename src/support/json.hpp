@@ -94,7 +94,14 @@ class Json {
   /// Serialize. `indent` < 0 means compact one-line output.
   std::string dump(int indent = -1) const;
 
-  /// Parse a complete JSON document (throws JsonParseError).
+  /// Deepest array/object nesting parse() accepts.  The parser recurses
+  /// per level, so unbounded nesting (one line of a few million '[' on a
+  /// daemon's socket) would overflow the stack; the deepest document the
+  /// project writes nests 9 levels (a reduce bundle).
+  static constexpr int kMaxDepth = 512;
+
+  /// Parse a complete JSON document (throws JsonParseError, also for
+  /// nesting deeper than kMaxDepth).
   static Json parse(std::string_view text);
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "support/cpu.hpp"
 #include "vgpu/fpu.hpp"
 
 namespace gpudiff::vgpu {
@@ -461,50 +460,6 @@ BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& en
   BytecodeCompiler compiler(program, out);
   compiler.set_env(&env);
   compiler.compile();
-
-  // Lane-affinity verdict for the automatic engine choice.  Two static
-  // features predict nearly all of the measured off-vs-AVX2 spread on
-  // generated programs:
-  //
-  //   * Any loop disqualifies.  Trip counts come from runtime integer
-  //     arguments, so lanes diverge at the first ForNext and most of the
-  //     loop body executes under a partial mask — full vector dispatch
-  //     paying for one or two live lanes loses to the scalar loop by 2-3x.
-  //   * Straight-line programs need enough vectorizable arithmetic to
-  //     amortize the per-group bind/pack/write-out overhead.  Weighting by
-  //     the issue-cycle model tracks host cost well enough here: a single
-  //     divide (exactness probe, softfloat fallback) is worth vectorizing,
-  //     a lone cheap accumulate is not.  Library calls run per-lane scalar
-  //     inside the engine, so they earn no credit.
-  std::uint64_t vec_score = 0;
-  bool has_loop = false;
-  for (const BcInsn& in : out.code_) {
-    switch (in.op) {
-      case BcOp::ForInit:
-        has_loop = true;
-        break;
-      case BcOp::Add:
-      case BcOp::Sub:
-      case BcOp::Mul:
-      case BcOp::Fma:
-      case BcOp::MinNaive:
-      case BcOp::MaxNaive:
-        vec_score += 1;
-        break;
-      case BcOp::Div:
-        vec_score += out.cyc_div_;
-        break;
-      case BcOp::AssignComp:
-        vec_score += static_cast<ir::AssignOp>(in.aux) == ir::AssignOp::Div
-                         ? out.cyc_div_
-                         : 1;
-        break;
-      default:
-        break;
-    }
-  }
-  constexpr std::uint64_t kMinVecScore = 8;
-  out.lane_profitable_ = !has_loop && vec_score >= kMinVecScore;
   return out;
 }
 
@@ -785,9 +740,9 @@ RunResult BytecodeProgram::run(const KernelArgs& args, ExecContext& ctx) const {
 void BytecodeProgram::run_batch(std::span<const KernelArgs> inputs,
                                 ExecContext& ctx, RunResult* out) const {
   // Give every output a defined value before validation or execution: a
-  // throw anywhere below (argument mismatch, trap, forced-but-unusable
-  // engine) must leave completed results for the inputs that ran and
-  // RunResult{} for the rest, never stale memory.
+  // throw anywhere below (argument mismatch, trap) must leave completed
+  // results for the inputs that ran and RunResult{} for the rest, never
+  // stale memory.
   for (std::size_t i = 0; i < inputs.size(); ++i) out[i] = RunResult{};
   // Validate the whole batch up front so the execution loop is check-free.
   for (const KernelArgs& args : inputs)
@@ -804,54 +759,17 @@ template <typename T>
 void BytecodeProgram::run_batch_impl(std::span<const KernelArgs> inputs,
                                      ExecContext& ctx, RunResult* out) const {
   prepare<T>(ctx);
-  constexpr bool kFp32 = sizeof(T) == 4;
-  using GroupFn = bool (*)(const BytecodeProgram&, const KernelArgs*,
-                           ExecContext&, RunResult*);
-  GroupFn group = nullptr;
-  std::size_t w = 1;
-  // Auto engine selection honors the compile-time lane-affinity verdict;
-  // an explicit GPUDIFF_SIMD override pins the engine unconditionally so
-  // differential tests exercise the lane path on every program shape.
-  if (support::simd_override() == support::SimdOverride::Auto &&
-      !lane_profitable_) {
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      run_one<T>(inputs[i], ctx, out[i]);
-    return;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    run_one<T>(inputs[i], ctx, out[i]);
+}
+
+SimdEngine simd_engine() noexcept { return SimdEngine::Off; }
+
+const char* to_string(SimdEngine engine) noexcept {
+  switch (engine) {
+    case SimdEngine::Off: return "off";
   }
-  switch (simd_engine()) {
-    case SimdEngine::Off:
-      break;
-    case SimdEngine::Scalar1:
-      group = kFp32 ? lane::run_group_generic_w1_32 : lane::run_group_generic_w1_64;
-      w = 1;
-      break;
-    case SimdEngine::Scalar:
-      group = kFp32 ? lane::run_group_generic_32 : lane::run_group_generic_64;
-      w = kFp32 ? 8 : 4;
-      break;
-    case SimdEngine::Avx2:
-#if defined(GPUDIFF_SIMD_AVX2)
-      group = kFp32 ? lane::run_group_avx2_32 : lane::run_group_avx2_64;
-      w = kFp32 ? 8 : 4;
-#endif
-      break;
-  }
-  std::size_t i = 0;
-  if (group != nullptr) {
-    for (; i + w <= inputs.size(); i += w) {
-      if (!group(*this, inputs.data() + i, ctx, out + i)) {
-        // The group reached a Trap (or a shape only the scalar path can
-        // fault on).  Re-run it scalar in input order: earlier inputs
-        // complete, the faulting one throws, later ones stay zeroed —
-        // exactly the sequential run_batch semantics.
-        for (std::size_t j = 0; j < w; ++j) out[i + j] = RunResult{};
-        for (std::size_t j = 0; j < w; ++j)
-          run_one<T>(inputs[i + j], ctx, out[i + j]);
-      }
-    }
-  }
-  // Batch tail (and the whole batch under SimdEngine::Off).
-  for (; i < inputs.size(); ++i) run_one<T>(inputs[i], ctx, out[i]);
+  return "?";
 }
 
 }  // namespace gpudiff::vgpu

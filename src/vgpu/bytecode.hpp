@@ -143,23 +143,7 @@ struct ExecContext {
   std::uint64_t epoch = 0;       ///< bumped once per run; never reused
   int loop_vars[kMaxLoopDepth] = {};
   int loop_bounds[kMaxLoopDepth] = {};
-
-  /// Scratch for the lane-parallel engine (vgpu/lane_engine.hpp):
-  /// structure-of-arrays, lane-minor (element of lane l for slot s lives
-  /// at [s * W + l]).  Grown on first use like the scalar buffers above;
-  /// `ints` holds the raw integer arguments and is shared by both
-  /// precisions, `ints_fp*` their precomputed LoadIntParam conversions.
-  struct LaneScratch {
-    std::vector<double> regs64, args64, ints_fp64, base64, arrays64;
-    std::vector<float> regs32, args32, ints_fp32, base32, arrays32;
-    std::vector<int> ints;
-    std::vector<std::uint64_t> slot_epoch64, slot_epoch32;
-  } lane;
 };
-
-namespace detail {
-struct VmAccess;
-}
 
 /// A compiled kernel: flat instructions plus everything execution needs.
 /// Immutable after compile_bytecode; safe to share across threads (each
@@ -169,27 +153,15 @@ class BytecodeProgram {
   ir::Precision precision() const noexcept { return precision_; }
   std::size_t insn_count() const noexcept { return code_.size(); }
 
-  /// Whether run_batch routes full groups through the lane-parallel engine
-  /// when the engine choice is automatic (GPUDIFF_SIMD unset).  Decided
-  /// once at compile time from the instruction mix: loops diverge on their
-  /// runtime trip counts and keep the vector unit partially masked, and
-  /// programs with almost no vectorizable arithmetic can't amortize the
-  /// group setup, so both run faster on the scalar path.  A forced
-  /// GPUDIFF_SIMD engine ignores this and always takes the lane path —
-  /// results are bit-identical either way; only throughput differs.
-  bool lane_profitable() const noexcept { return lane_profitable_; }
-
   /// Execute once.  Throws std::runtime_error on argument/parameter count
   /// mismatch; numerical misbehaviour never throws.
   RunResult run(const KernelArgs& args, ExecContext& ctx) const;
 
   /// Execute the kernel over a batch of inputs, writing one RunResult per
   /// input.  Semantically identical to calling run() per input, but the
-  /// argument validation, buffer sizing and dispatch setup are performed
-  /// once for the whole batch (the campaign sweep shape: one compiled
-  /// variant x many inputs), and full lane-width groups run through the
-  /// lane-parallel engine selected by simd_engine() — with bit-identical
-  /// results by contract.
+  /// argument validation and buffer sizing are performed once for the
+  /// whole batch (the campaign sweep shape: one compiled variant x many
+  /// inputs).
   ///
   /// Every entry of `out` is zeroed before validation or execution, so on
   /// a throw (argument mismatch, trap mid-batch) the span holds only
@@ -200,7 +172,6 @@ class BytecodeProgram {
 
  private:
   friend class BytecodeCompiler;
-  friend struct detail::VmAccess;
   friend BytecodeProgram compile_bytecode(const ir::Program&, const fp::FpEnv&,
                                           const vmath::MathLib* mathlib);
   template <typename T>
@@ -226,7 +197,6 @@ class BytecodeProgram {
   int num_temps_ = 0;
   std::uint64_t cyc_div_ = 16;   ///< issue cycles per divide (CycleModel)
   std::uint64_t cyc_call_ = 24;  ///< issue cycles per library call
-  bool lane_profitable_ = true;  ///< auto-dispatch verdict, see getter
 };
 
 /// Lower an optimized program once.  Never throws for malformed IR:
@@ -238,46 +208,12 @@ class BytecodeProgram {
 BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& env,
                                  const vmath::MathLib* mathlib);
 
-/// Which execution engine run_batch uses for full lane-width groups.  All
-/// engines are bit-identical by contract (values, exception flags,
-/// op/cycle counts) — the choice is invisible to reports, fingerprints
-/// and merged campaign bytes.
-enum class SimdEngine : std::uint8_t {
-  Off,      ///< plain one-input-at-a-time interpreter loop
-  Scalar1,  ///< lane engine, portable backend, width 1 (pure reference)
-  Scalar,   ///< lane engine, portable backend, natural widths (4 / 8)
-  Avx2,     ///< lane engine, AVX2+FMA backend (4 x double / 8 x float)
-};
+/// The execution engine run_batch uses: always the scalar VM.  Kept only
+/// because the benchmark harness (perfbench/src/harness.cpp) prints it.
+enum class SimdEngine : std::uint8_t { Off };
 
-/// Resolve the engine from the GPUDIFF_SIMD override (support/cpu.hpp) and
-/// the host CPU: unset means AVX2 when compiled in and usable, else Off.
-/// Throws std::runtime_error when GPUDIFF_SIMD=avx2 is forced but the
-/// binary or host cannot honor it, and std::invalid_argument on an
-/// unrecognized override value.
-SimdEngine simd_engine();
+SimdEngine simd_engine() noexcept;
 
 const char* to_string(SimdEngine engine) noexcept;
-
-namespace lane {
-
-/// Engine entry points, one per (backend, precision).  Each executes
-/// exactly its width's worth of inputs and returns false when the group
-/// must be re-run through the scalar interpreter (trap semantics).
-/// Generic entries are always built; the avx2 pair exists only in
-/// binaries compiled with GPUDIFF_SIMD_AVX2.
-bool run_group_generic_w1_64(const BytecodeProgram&, const KernelArgs* inputs,
-                             ExecContext&, RunResult* out);
-bool run_group_generic_w1_32(const BytecodeProgram&, const KernelArgs* inputs,
-                             ExecContext&, RunResult* out);
-bool run_group_generic_64(const BytecodeProgram&, const KernelArgs* inputs,
-                          ExecContext&, RunResult* out);  // W = 4
-bool run_group_generic_32(const BytecodeProgram&, const KernelArgs* inputs,
-                          ExecContext&, RunResult* out);  // W = 8
-bool run_group_avx2_64(const BytecodeProgram&, const KernelArgs* inputs,
-                       ExecContext&, RunResult* out);  // W = 4
-bool run_group_avx2_32(const BytecodeProgram&, const KernelArgs* inputs,
-                       ExecContext&, RunResult* out);  // W = 8
-
-}  // namespace lane
 
 }  // namespace gpudiff::vgpu

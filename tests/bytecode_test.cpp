@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "diff/campaign.hpp"
@@ -18,7 +20,6 @@
 #include "gen/inputs.hpp"
 #include "ir/builder.hpp"
 #include "opt/pipeline.hpp"
-#include "support/cpu.hpp"
 #include "vgpu/bytecode.hpp"
 #include "vgpu/interp.hpp"
 
@@ -26,37 +27,6 @@ namespace {
 
 using namespace gpudiff;
 using namespace gpudiff::ir;
-
-/// Every lane engine this binary can actually run (Avx2 is present only
-/// when compiled in and the host supports it; probing through
-/// simd_engine() also exercises its fail-fast throw).
-std::vector<support::SimdOverride> runnable_engines() {
-  std::vector<support::SimdOverride> v{support::SimdOverride::Off,
-                                       support::SimdOverride::Scalar1,
-                                       support::SimdOverride::Scalar};
-  const support::SimdOverride saved = support::simd_override();
-  support::set_simd_override(support::SimdOverride::Avx2);
-  try {
-    (void)vgpu::simd_engine();
-    v.push_back(support::SimdOverride::Avx2);
-  } catch (const std::runtime_error&) {
-    // Not compiled in or not usable on this host: the Avx2 leg is covered
-    // on CI's AVX2 runner instead.
-  }
-  support::set_simd_override(saved);
-  return v;
-}
-
-/// RAII engine override so a failing test cannot leak its engine choice
-/// into later tests.
-struct ScopedEngine {
-  explicit ScopedEngine(support::SimdOverride mode)
-      : saved(support::simd_override()) {
-    support::set_simd_override(mode);
-  }
-  ~ScopedEngine() { support::set_simd_override(saved); }
-  const support::SimdOverride saved;
-};
 
 void expect_identical(const vgpu::RunResult& vm, const vgpu::RunResult& tree,
                       const std::string& context) {
@@ -364,16 +334,31 @@ TEST(Bytecode, BatchRejectsMismatchedArguments) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-parallel engines (GPUDIFF_SIMD): every engine must be bit-identical
-// to the plain interpreter loop — values, flags, op and cycle counts —
-// including under divergent control flow and through trap re-runs.
+// Batched execution: run_batch must be bit-identical to per-input run()
+// and to the tree-walk oracle — values, flags, op and cycle counts —
+// including under divergent control flow and for trapping inputs.
 // ---------------------------------------------------------------------------
 
-TEST(BytecodeLanes, GeneratedProgramsBitIdenticalAcrossEngines) {
-  // The dbg-style sweep that caught the probe-underflow bug: generated
-  // programs (subnormal-heavy inputs) across opt levels and platforms,
-  // fp64 and fp32, every runnable engine against the interpreter loop.
-  const auto engines = runnable_engines();
+/// run_batch over `inputs` against run() per input and the tree-walk
+/// oracle per input.
+void expect_batch_matches(const opt::Executable& exe,
+                          std::span<const vgpu::KernelArgs> inputs,
+                          const std::string& context) {
+  vgpu::ExecContext ctx;
+  std::vector<vgpu::RunResult> batch(inputs.size());
+  exe.bytecode().run_batch(inputs, ctx, batch.data());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const std::string where = context + " input " + std::to_string(i);
+    expect_identical(batch[i], exe.bytecode().run(inputs[i], ctx),
+                     where + " run");
+    expect_identical(batch[i], vgpu::run_kernel_tree(exe, inputs[i]),
+                     where + " tree");
+  }
+}
+
+TEST(BytecodeBatch, GeneratedProgramsMatchRunAndOracle) {
+  // Generated programs (subnormal-heavy inputs) across opt levels and
+  // platforms, fp64 and fp32.
   for (const Precision precision : {Precision::FP64, Precision::FP32}) {
     gen::GenConfig cfg;
     cfg.precision = precision;
@@ -387,35 +372,21 @@ TEST(BytecodeLanes, GeneratedProgramsBitIdenticalAcrossEngines) {
       for (const opt::OptLevel level : opt::kAllOptLevels) {
         const diff::CompiledSet set = diff::compile_pair(program, level);
         for (const opt::Executable& exe : set.exes) {
-          std::vector<vgpu::RunResult> ref(inputs.size());
-          {
-            ScopedEngine off(support::SimdOverride::Off);
-            vgpu::run_kernel_batch(exe, inputs, ref.data());
-          }
-          for (const support::SimdOverride mode : engines) {
-            ScopedEngine eng(mode);
-            std::vector<vgpu::RunResult> got(inputs.size());
-            vgpu::run_kernel_batch(exe, inputs, got.data());
-            for (std::size_t ii = 0; ii < inputs.size(); ++ii) {
-              expect_identical(got[ii], ref[ii],
-                               std::string(support::to_string(mode)) +
-                                   " program " + std::to_string(pi) + " input " +
-                                   std::to_string(ii) + " " + exe.description());
-              if (HasFailure()) return;
-            }
-          }
+          expect_batch_matches(exe, inputs,
+                               "program " + std::to_string(pi) + " " +
+                                   exe.description());
+          if (HasFailure()) return;
         }
       }
     }
   }
 }
 
-TEST(BytecodeLanes, DivergentControlFlowBitIdenticalAcrossEngines) {
-  // Hand-built worst case for the mask discipline: per-input trip counts
-  // (including zero-trip), a data-dependent if whose body re-tests every
-  // step, and masked div/add/mul — so lanes of one group run different
-  // instruction sequences and must still match the sequential loop
-  // exactly, for inputs spanning subnormals, zeros, infinities and NaN.
+TEST(BytecodeBatch, DivergentControlFlowMatchesRunAndOracle) {
+  // Per-input trip counts (including zero-trip), a data-dependent if whose
+  // body re-tests every step, and div/add/mul under it — so inputs of one
+  // batch run different instruction sequences — for inputs spanning
+  // subnormals, zeros, infinities and NaN.
   ProgramBuilder b(Precision::FP64);
   Arena& A = b.arena();
   const int n = b.add_int_param();
@@ -431,7 +402,6 @@ TEST(BytecodeLanes, DivergentControlFlowBitIdenticalAcrossEngines) {
   const double comps[] = {0.5,    -3.0, 1e-310, 100.0,
                           -1e300, 0.0,  1e308,  std::numeric_limits<double>::quiet_NaN(),
                           std::numeric_limits<double>::infinity(), 2.0, 3.5, -1e-320, 7.0};
-  const auto engines = runnable_engines();
   const Program program = b.build();
   for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
     const opt::Executable exe =
@@ -443,27 +413,14 @@ TEST(BytecodeLanes, DivergentControlFlowBitIdenticalAcrossEngines) {
       args.ints = {0, static_cast<int>(i % 7)};  // trip counts 0..6
       inputs.push_back(args);
     }
-    std::vector<vgpu::RunResult> ref(inputs.size());
-    {
-      ScopedEngine off(support::SimdOverride::Off);
-      vgpu::run_kernel_batch(exe, inputs, ref.data());
-    }
-    for (const support::SimdOverride mode : engines) {
-      ScopedEngine eng(mode);
-      std::vector<vgpu::RunResult> got(inputs.size());
-      vgpu::run_kernel_batch(exe, inputs, got.data());
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        expect_identical(got[i], ref[i],
-                         std::string(support::to_string(mode)) + " input " +
-                             std::to_string(i));
-    }
+    expect_batch_matches(exe, inputs, exe.description());
   }
 }
 
-TEST(BytecodeLanes, BatchSizesSpanningGroupBoundaries) {
-  // Sizes around the group widths (1, W-1, W, W+1, 2W, 2W+3) must all
-  // produce the per-input results of the sequential loop — the tail path
-  // and the grouped path meet inside one batch.
+TEST(BytecodeBatch, BatchSizesAroundVectorWidths) {
+  // Sizes around multiples of 4 and 8 (where a grouped or unrolled batch
+  // loop would split into body and tail): every prefix of one input pool
+  // must give the same per-input results.
   gen::GenConfig cfg;
   const gen::Generator generator(cfg, 9);
   const gen::InputGenerator input_gen(9);
@@ -473,69 +430,21 @@ TEST(BytecodeLanes, BatchSizesSpanningGroupBoundaries) {
   std::vector<vgpu::KernelArgs> pool;
   for (int ii = 0; ii < 19; ++ii)
     pool.push_back(input_gen.generate(program, 3, ii));
-  std::vector<vgpu::RunResult> ref(pool.size());
-  {
-    ScopedEngine off(support::SimdOverride::Off);
-    vgpu::run_kernel_batch(exe, pool, ref.data());
-  }
-  for (const support::SimdOverride mode : runnable_engines()) {
-    ScopedEngine eng(mode);
-    for (const std::size_t count : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{4}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{9},
-                                    std::size_t{16}, std::size_t{19}}) {
-      std::vector<vgpu::RunResult> got(count);
-      vgpu::run_kernel_batch(
-          exe, std::span<const vgpu::KernelArgs>(pool.data(), count),
-          got.data());
-      for (std::size_t i = 0; i < count; ++i)
-        expect_identical(got[i], ref[i],
-                         std::string(support::to_string(mode)) + " count " +
-                             std::to_string(count) + " input " +
-                             std::to_string(i));
-    }
-  }
+  for (const std::size_t count : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{4}, std::size_t{5},
+                                  std::size_t{8}, std::size_t{9},
+                                  std::size_t{16}, std::size_t{19}})
+    expect_batch_matches(
+        exe, std::span<const vgpu::KernelArgs>(pool.data(), count),
+        "count " + std::to_string(count));
 }
 
-TEST(BytecodeLanes, AdaptiveDispatchVerdictFromInstructionMix) {
-  // The compile-time lane-affinity verdict that steers automatic engine
-  // selection: loops disqualify (runtime trip counts diverge the lanes),
-  // and straight-line code qualifies only with enough vectorizable
-  // arithmetic to amortize the group setup.  A single divide clears the
-  // bar (cycle-model weight 16 in fp64); a lone cheap accumulate does not.
-  {
-    ProgramBuilder b(Precision::FP64);
-    Arena& A = b.arena();
-    b.assign_comp(AssignOp::Div, make_param(A, 0));
-    const opt::Executable exe = compile_o0(b.build());
-    EXPECT_TRUE(exe.bytecode().lane_profitable());
-  }
-  {
-    ProgramBuilder b(Precision::FP64);
-    Arena& A = b.arena();
-    b.assign_comp(AssignOp::Add, make_param(A, 0));
-    const opt::Executable exe = compile_o0(b.build());
-    EXPECT_FALSE(exe.bytecode().lane_profitable());
-  }
-  {
-    ProgramBuilder b(Precision::FP64);
-    Arena& A = b.arena();
-    const int n = b.add_int_param();
-    b.begin_for(n);
-    b.assign_comp(AssignOp::Div, make_param(A, 0));
-    b.end_block();
-    const opt::Executable exe = compile_o0(b.build());
-    EXPECT_FALSE(exe.bytecode().lane_profitable());
-  }
-}
-
-TEST(BytecodeLanes, BatchThrowLeavesNoStaleOutputs) {
+TEST(BytecodeBatch, BatchThrowLeavesNoStaleOutputs) {
   // Regression for the partial-state bug: a throw mid-batch used to leave
   // whatever memory the caller handed in for the unreached outputs.  Now
   // every output is either a completed result (inputs before the faulting
-  // one, in input order) or a zeroed RunResult{} — under every engine,
-  // whose grouped execution must re-run the faulting group scalar to keep
-  // exactly these sequential semantics.
+  // one, in input order, equal to run() and the oracle) or a zeroed
+  // RunResult{}.
   Arena A;
   std::vector<Param> params{{ParamKind::Comp, "comp"},
                             {ParamKind::Scalar, "var_1"}};
@@ -556,27 +465,27 @@ TEST(BytecodeLanes, BatchThrowLeavesNoStaleOutputs) {
     args.ints = {0, 0};
     inputs.push_back(args);
   }
-  for (const support::SimdOverride mode : runnable_engines()) {
-    ScopedEngine eng(mode);
-    std::vector<vgpu::RunResult> out(inputs.size());
-    for (auto& r : out) {  // stale garbage the contract must erase
-      r.value_bits = 0xDEADBEEFull;
-      r.op_count = 123;
-    }
-    vgpu::ExecContext ctx;
-    EXPECT_THROW(exe.bytecode().run_batch(inputs, ctx, out.data()),
-                 std::runtime_error)
-        << support::to_string(mode);
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(out[i].value, 3.0) << support::to_string(mode) << " input " << i;
-      EXPECT_GT(out[i].op_count, 0u) << support::to_string(mode) << " input " << i;
-    }
-    for (std::size_t i = 6; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].value_bits, 0u)
-          << support::to_string(mode) << " input " << i;
-      EXPECT_EQ(out[i].op_count, 0u)
-          << support::to_string(mode) << " input " << i;
-    }
+  std::vector<vgpu::RunResult> out(inputs.size());
+  for (auto& r : out) {  // stale garbage the contract must erase
+    r.value_bits = 0xDEADBEEFull;
+    r.op_count = 123;
+  }
+  vgpu::ExecContext ctx;
+  EXPECT_THROW(exe.bytecode().run_batch(inputs, ctx, out.data()),
+               std::runtime_error);
+  EXPECT_THROW((void)exe.bytecode().run(inputs[6], ctx), std::runtime_error);
+  EXPECT_THROW((void)vgpu::run_kernel_tree(exe, inputs[6]), std::runtime_error);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(out[i].value, 3.0) << "input " << i;
+    EXPECT_GT(out[i].op_count, 0u) << "input " << i;
+    expect_identical(out[i], exe.bytecode().run(inputs[i], ctx),
+                     "run input " + std::to_string(i));
+    expect_identical(out[i], vgpu::run_kernel_tree(exe, inputs[i]),
+                     "tree input " + std::to_string(i));
+  }
+  for (std::size_t i = 6; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].value_bits, 0u) << "input " << i;
+    EXPECT_EQ(out[i].op_count, 0u) << "input " << i;
   }
 }
 

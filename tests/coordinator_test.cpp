@@ -296,6 +296,40 @@ TEST(Coordinator, RefusesWireVersionMismatchFatally) {
   coordinator.stop();
 }
 
+TEST(Coordinator, DeeplyNestedLineRefusedCoordinatorKeepsServing) {
+  // One pre-hello line of ~2M '[' used to overflow the recursive JSON
+  // parser's stack and take the coordinator down.  It must be refused as
+  // a fatal wire error on that connection only.
+  TempDir state("gpudiff_coord_deep");
+  TempDir journal("gpudiff_coord_deep_journal");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+
+  net::Socket s = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(s.valid());
+  ASSERT_EQ(s.send_all(std::string(std::size_t{2} << 20, '[') + "\n", 10.0),
+            net::IoStatus::Ok);
+  support::Json resp;
+  ASSERT_EQ(net::recv_message(s, &resp, 10.0), net::IoStatus::Ok);
+  EXPECT_FALSE(resp.at("ok").as_bool());
+  EXPECT_TRUE(resp.at("fatal").as_bool());
+  EXPECT_NE(resp.at("error").as_string().find("nesting too deep"),
+            std::string::npos)
+      << resp.at("error").as_string();
+  EXPECT_NE(net::recv_message(s, &resp, 10.0), net::IoStatus::Ok)
+      << "a refused connection is closed";
+
+  // The next client is served normally.
+  TcpLeaseTransport worker(
+      transport_options(coordinator.port(), "w-deep", journal.str()));
+  worker.publish_or_verify_manifest(campaign::config_to_json(small_config(45)),
+                                    4, campaign::lease_count(45, 4));
+  EXPECT_TRUE(worker.try_claim(0));
+  coordinator.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Durability: a coordinator restarted on its state directory recovers
 // every claim and every done block.

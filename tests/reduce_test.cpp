@@ -6,9 +6,8 @@
 //   * 1-minimality — dropping any single statement of the reproducer
 //     either kills the discrepancy or breaks the program;
 //   * determinism — the same record reduces to byte-identical bundles
-//     across repeated runs, SIMD lane engines, VM backends, and batch vs
-//     single-record mode (the reduce-drill CI job re-checks this across
-//     processes);
+//     across repeated runs, VM backends, and batch vs single-record mode
+//     (the reduce-drill CI job re-checks this across processes);
 //   * the bundle byte layout is golden-locked, and a tampered bundle is
 //     refused on reload.
 
@@ -29,7 +28,6 @@
 #include "reduce/bundle.hpp"
 #include "reduce/reduce.hpp"
 #include "store/store.hpp"
-#include "support/cpu.hpp"
 #include "support/json.hpp"
 #include "support/thread_pool.hpp"
 #include "vgpu/interp.hpp"
@@ -163,24 +161,12 @@ TEST(Reduce, EveryRecordReducesToVerdictPreservingOneMinimalReproducer) {
                                 << (failures.empty() ? "" : failures.front());
 }
 
-// Determinism across everything that must not matter: repeated runs, SIMD
-// lane engines, and VM backends all serialize to the same bundle bytes.
-TEST(Reduce, BundleBytesInvariantAcrossRunsEnginesAndBackends) {
+// Determinism across everything that must not matter: repeated runs and
+// VM backends all serialize to the same bundle bytes.
+TEST(Reduce, BundleBytesInvariantAcrossRunsAndBackends) {
   const diff::CampaignConfig config = corpus_config();
   const auto& records = corpus().records;
   ASSERT_FALSE(records.empty());
-
-  // Engines this binary can run (same probe as the stress tier).
-  std::vector<support::SimdOverride> engines{support::SimdOverride::Off,
-                                             support::SimdOverride::Scalar};
-  const support::SimdOverride saved_engine = support::simd_override();
-  support::set_simd_override(support::SimdOverride::Avx2);
-  try {
-    (void)vgpu::simd_engine();
-    engines.push_back(support::SimdOverride::Avx2);
-  } catch (const std::runtime_error&) {
-  }
-  support::set_simd_override(saved_engine);
   const vgpu::ExecBackend saved_backend = vgpu::exec_backend();
 
   const std::size_t n = std::min<std::size_t>(records.size(), 6);
@@ -191,13 +177,6 @@ TEST(Reduce, BundleBytesInvariantAcrossRunsEnginesAndBackends) {
     EXPECT_EQ(baseline,
               bundle_bytes(reduce::reduce_record(config, ref), config))
         << ref.key() << ": repeated run";
-    for (const support::SimdOverride engine : engines) {
-      support::set_simd_override(engine);
-      EXPECT_EQ(baseline,
-                bundle_bytes(reduce::reduce_record(config, ref), config))
-          << ref.key() << ": engine " << support::to_string(engine);
-    }
-    support::set_simd_override(saved_engine);
     for (const vgpu::ExecBackend backend :
          {vgpu::ExecBackend::Bytecode, vgpu::ExecBackend::TreeWalk}) {
       vgpu::set_exec_backend(backend);

@@ -473,6 +473,38 @@ TEST(StoreServe, HelloRefusesVersionMismatchesFatally) {
   server.stop();
 }
 
+TEST(StoreServe, DeeplyNestedLineRefusedServerKeepsServing) {
+  // One pre-hello line of ~2M '[' used to overflow the recursive JSON
+  // parser's stack and take the daemon down.  It must be refused as a
+  // fatal wire error on that connection only.
+  TempDir dir("gpudiff_store_deep");
+  const std::string db = dir.file("db");
+  store::ingest(db, "c1", {kGoldenReport});
+  store::ServeOptions options;
+  options.dir = db;
+  store::StoreServer server(options);
+  server.start();
+
+  net::Socket socket = net::connect_tcp("127.0.0.1", server.port(), 5.0);
+  ASSERT_TRUE(socket.valid());
+  ASSERT_EQ(socket.send_all(std::string(std::size_t{2} << 20, '[') + "\n", 10.0),
+            net::IoStatus::Ok);
+  Json response;
+  ASSERT_EQ(net::recv_message(socket, &response, 10.0), net::IoStatus::Ok);
+  EXPECT_FALSE(response.at("ok").as_bool());
+  EXPECT_TRUE(response.at("fatal").as_bool());
+  EXPECT_NE(response.at("error").as_string().find("nesting too deep"),
+            std::string::npos)
+      << response.at("error").as_string();
+  EXPECT_NE(net::recv_message(socket, &response, 10.0), net::IoStatus::Ok)
+      << "a refused connection is closed";
+
+  Json summary = Json::object();
+  summary["op"] = "summary";
+  EXPECT_TRUE(client_query(server.port(), summary).at("ok").as_bool());
+  server.stop();
+}
+
 TEST(StoreServe, ConcurrentClientsSeeIdenticalAnswers) {
   TempDir dir("gpudiff_store_conc");
   const std::string db = dir.file("db");

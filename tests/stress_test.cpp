@@ -31,7 +31,6 @@
 #include "gen/inputs.hpp"
 #include "opt/pipeline.hpp"
 #include "opt/platform.hpp"
-#include "support/cpu.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
 #include "vgpu/bytecode.hpp"
@@ -121,39 +120,18 @@ TEST(DifferentialStress, Fp32BytecodeMatchesTreeOracleBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD differential tier: every runnable lane engine, against the tree
-// oracle, across the whole platform registry.
+// Batched tier: run_kernel_batch across the whole platform registry against
+// the tree oracle, values through cycle counts, and against a repeat of
+// itself on the same thread's reused ExecContext.
 // ---------------------------------------------------------------------------
 
-/// Engines this binary can run (the AVX2 leg joins only when compiled in
-/// and usable on the host; CI's AVX2 matrix leg pins it unconditionally).
-std::vector<support::SimdOverride> runnable_engines() {
-  std::vector<support::SimdOverride> v{support::SimdOverride::Off,
-                                       support::SimdOverride::Scalar1,
-                                       support::SimdOverride::Scalar};
-  const support::SimdOverride saved = support::simd_override();
-  support::set_simd_override(support::SimdOverride::Avx2);
-  try {
-    (void)vgpu::simd_engine();
-    v.push_back(support::SimdOverride::Avx2);
-  } catch (const std::runtime_error&) {
-  }
-  support::set_simd_override(saved);
-  return v;
-}
+constexpr int kBatchInputs = 9;
 
-// Nine inputs per program: a full 8-wide fp32 group plus a tail lane, two
-// 4-wide fp64 groups plus a tail — both the grouped and the tail path of
-// every batch see traffic, and generated loop bounds/branches give the
-// mask discipline real divergence.
-constexpr int kSimdInputs = 9;
-
-/// Sweep random programs through every (platform, level, input) under one
-/// lane engine and compare the batched VM against the tree oracle bit for
-/// bit: values, flags, op and cycle counts.  The oracle is engine-blind,
-/// so engines that each match it are transitively identical to each other.
-void run_simd_stress(ir::Precision precision, int programs,
-                     support::SimdOverride engine) {
+/// Sweep random programs through every (platform, level) batch and compare
+/// the batched VM against the tree oracle bit for bit: values, flags, op
+/// and cycle counts.  A second batch over the same inputs must reproduce
+/// the first exactly (no state carried between batches).
+void run_batch_stress(ir::Precision precision, int programs) {
   gen::GenConfig gcfg;
   gcfg.precision = precision;
   const gen::Generator generator(gcfg, kSeed);
@@ -163,41 +141,43 @@ void run_simd_stress(ir::Precision precision, int programs,
   std::atomic<std::uint64_t> comparisons{0};
   std::mutex mu;
   std::vector<std::string> failures;
+  auto same = [](const vgpu::RunResult& a, const vgpu::RunResult& b) {
+    return a.value_bits == b.value_bits && a.flags.raw() == b.flags.raw() &&
+           a.op_count == b.op_count && a.cycle_count == b.cycle_count;
+  };
 
-  const support::SimdOverride saved = support::simd_override();
-  support::set_simd_override(engine);
   support::parallel_for(
       static_cast<std::size_t>(programs),
       [&](std::size_t pi) {
         const ir::Program program = generator.generate(pi);
         std::vector<vgpu::KernelArgs> inputs;
-        inputs.reserve(kSimdInputs);
-        for (int ii = 0; ii < kSimdInputs; ++ii)
+        inputs.reserve(kBatchInputs);
+        for (int ii = 0; ii < kBatchInputs; ++ii)
           inputs.push_back(input_gen.generate(program, pi, ii));
         for (const auto level : opt::kAllOptLevels) {
           const diff::CompiledSet set =
               diff::compile_set(program, platforms, level);
           for (const opt::Executable& exe : set.exes) {
             std::vector<vgpu::RunResult> batch(inputs.size());
+            std::vector<vgpu::RunResult> repeat(inputs.size());
             vgpu::run_kernel_batch(exe, inputs, batch.data());
-            for (int ii = 0; ii < kSimdInputs; ++ii) {
+            vgpu::run_kernel_batch(exe, inputs, repeat.data());
+            for (int ii = 0; ii < kBatchInputs; ++ii) {
               const vgpu::RunResult oracle =
                   vgpu::run_kernel_tree(exe, inputs[ii]);
               comparisons.fetch_add(1, std::memory_order_relaxed);
               const vgpu::RunResult& vm = batch[static_cast<std::size_t>(ii)];
-              if (vm.value_bits == oracle.value_bits &&
-                  vm.flags.raw() == oracle.flags.raw() &&
-                  vm.op_count == oracle.op_count &&
-                  vm.cycle_count == oracle.cycle_count)
-                continue;
+              const bool repeat_ok =
+                  same(vm, repeat[static_cast<std::size_t>(ii)]);
+              if (same(vm, oracle) && repeat_ok) continue;
               std::lock_guard<std::mutex> lock(mu);
               if (failures.size() < 25) {
                 failures.push_back(support::format(
-                    "engine %s program %zu input %d %s: vm bits %016llx "
+                    "program %zu input %d %s%s: vm bits %016llx "
                     "flags %02x ops %llu cyc %llu vs oracle bits %016llx "
                     "flags %02x ops %llu cyc %llu",
-                    support::to_string(engine), pi, ii,
-                    exe.description().c_str(),
+                    pi, ii, exe.description().c_str(),
+                    repeat_ok ? "" : " (repeat batch differs)",
                     static_cast<unsigned long long>(vm.value_bits),
                     vm.flags.raw(),
                     static_cast<unsigned long long>(vm.op_count),
@@ -211,22 +191,25 @@ void run_simd_stress(ir::Precision precision, int programs,
           }
         }
       });
-  support::set_simd_override(saved);
 
   EXPECT_TRUE(failures.empty()) << failures.size() << "+ mismatches, first:\n"
                                 << support::join(failures, "\n");
   EXPECT_EQ(comparisons.load(), static_cast<std::uint64_t>(programs) *
-                                    platforms.size() * 5 * kSimdInputs);
+                                    platforms.size() * 5 * kBatchInputs);
 }
 
-TEST(SimdDifferentialStress, Fp64AllEnginesMatchTreeOracleBitForBit) {
+/// A quarter of the base tier: hundreds of programs times the full
+/// registry at the default GPUDIFF_STRESS_PROGRAMS.
+int batch_stress_programs() { return std::max(1, stress_programs() / 4); }
+
+TEST(DifferentialStress, Fp64BatchedRegistryMatchesTreeOracleBitForBit) {
   vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
-  // A quarter of the base tier per engine keeps the whole SIMD tier in the
-  // same runtime budget while still sweeping hundreds of programs times
-  // the full registry per engine.
-  const int programs = std::max(1, stress_programs() / 4);
-  for (const support::SimdOverride engine : runnable_engines())
-    run_simd_stress(ir::Precision::FP64, programs, engine);
+  run_batch_stress(ir::Precision::FP64, batch_stress_programs());
+}
+
+TEST(DifferentialStress, Fp32BatchedRegistryMatchesTreeOracleBitForBit) {
+  vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
+  run_batch_stress(ir::Precision::FP32, batch_stress_programs());
 }
 
 // ---------------------------------------------------------------------------
@@ -317,13 +300,6 @@ TEST(ReduceStress, Fp64EveryDiscrepancyReducesVerdictPreservingOneMinimal) {
 
 TEST(ReduceStress, Fp32EveryDiscrepancyReducesVerdictPreservingOneMinimal) {
   run_reduce_stress(ir::Precision::FP32, reduce_stress_programs());
-}
-
-TEST(SimdDifferentialStress, Fp32AllEnginesMatchTreeOracleBitForBit) {
-  vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
-  const int programs = std::max(1, stress_programs() / 4);
-  for (const support::SimdOverride engine : runnable_engines())
-    run_simd_stress(ir::Precision::FP32, programs, engine);
 }
 
 }  // namespace

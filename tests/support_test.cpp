@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "support/cli.hpp"
-#include "support/cpu.hpp"
 #include "support/json.hpp"
 #include "support/lockfile.hpp"
 #include "support/retry.hpp"
@@ -188,6 +187,32 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonParseError);
   EXPECT_THROW(Json::parse("{\"a\" 1}"), JsonParseError);
   EXPECT_THROW(Json::parse("[1] trailing"), JsonParseError);
+}
+
+TEST(Json, NestingLimit) {
+  const auto nested = [](int depth, char open, char close) {
+    std::string s(static_cast<std::size_t>(depth), open);
+    if (open == '{') {
+      s.clear();
+      for (int i = 0; i < depth; ++i) s += "{\"k\":";
+      s += "1";
+    }
+    return s + std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth, '[', ']')));
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth, '{', '}')));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1, '[', ']')),
+               JsonParseError);
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1, '{', '}')),
+               JsonParseError);
+  // The line that used to overflow the parser's stack: ~2M unclosed '['.
+  try {
+    Json::parse(std::string(std::size_t{2} << 20, '['));
+    FAIL() << "unbounded nesting must be refused";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, UnicodeEscapes) {
@@ -424,38 +449,6 @@ TEST(Retry, InterruptibleSleepHonorsCancellation) {
           .count();
   EXPECT_LT(waited, 5.0) << "cancellation must cut the sleep short";
   EXPECT_TRUE(interruptible_sleep(0.0, nullptr));
-}
-
-// ---------------------------------------------------------------------------
-// CPU feature probe and GPUDIFF_SIMD override
-// ---------------------------------------------------------------------------
-
-TEST(Cpu, FeatureProbeIsStableAndSelfConsistent) {
-  const CpuFeatures& a = cpu_features();
-  const CpuFeatures& b = cpu_features();
-  EXPECT_EQ(&a, &b) << "probed once per process";
-  if (a.avx2_usable()) {
-    EXPECT_TRUE(a.avx2);
-    EXPECT_TRUE(a.fma);
-    EXPECT_TRUE(a.os_ymm);
-  }
-  EXPECT_FALSE(a.to_string().empty());
-#if !defined(__x86_64__) && !defined(_M_X64)
-  EXPECT_FALSE(a.avx2_usable()) << "non-x86 hosts must report no AVX2";
-#endif
-}
-
-TEST(Cpu, SimdOverrideRoundTripsAndRestores) {
-  const SimdOverride saved = simd_override();
-  for (const SimdOverride mode :
-       {SimdOverride::Off, SimdOverride::Scalar, SimdOverride::Scalar1,
-        SimdOverride::Avx2, SimdOverride::Auto}) {
-    set_simd_override(mode);
-    EXPECT_EQ(simd_override(), mode) << to_string(mode);
-    EXPECT_NE(to_string(mode), nullptr);
-  }
-  set_simd_override(saved);
-  EXPECT_EQ(simd_override(), saved);
 }
 
 // ---------------------------------------------------------------------------
