@@ -5,9 +5,8 @@
 //
 // Run from a Release build and record a JSON trajectory point:
 //   cmake --preset release && cmake --build --preset release --target bench
-//   ./build-release/bench/perf_framework \
-//       --benchmark_out=BENCH_$(git rev-parse --short HEAD).json \
-//       --benchmark_out_format=json
+//   out=BENCH_$(git rev-parse --short HEAD).json
+//   ./build-release/bench/perf_framework --benchmark_out=$out --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
 

@@ -115,7 +115,9 @@ RangeOutcome run_campaign_range(const CampaignConfig& config,
         // level that thread processes within this range invocation.  (The
         // calling thread's scratch persists across invocations too;
         // parallel_for's extra workers are per-call, so in the default
-        // one-thread-per-shard distribution shape reuse is total.)
+        // one-thread-per-shard distribution shape reuse is total.)  Its run
+        // memo also skips re-running a level whose lowered program matches
+        // the previous level's (O1, O2 and O3 usually do).
         thread_local SweepContext sweep;
         // (level position, record) pairs, sorted into canonical order below.
         std::vector<std::pair<std::size_t, DiscrepancyRecord>> found;

@@ -1,5 +1,6 @@
 #include "diff/runner.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gpudiff::diff {
@@ -74,10 +75,30 @@ const std::vector<ComparisonResult>& compare_batch(
     const CompiledSet& set, std::span<const vgpu::KernelArgs> inputs,
     SweepContext& ctx) {
   const ir::Precision prec = set.precision();
-  if (ctx.runs.size() < set.size()) ctx.runs.resize(set.size());
+  if (ctx.runs.size() < set.size()) {
+    ctx.runs.resize(set.size());
+    ctx.memo.resize(set.size());
+  }
+  const bool vm = vgpu::exec_backend() == vgpu::ExecBackend::Bytecode;
   for (std::size_t p = 0; p < set.size(); ++p) {
+    SweepContext::LaneMemo& memo = ctx.memo[p];
+    const opt::Executable& exe = set.exes[p];
+    if (vm && memo.program &&
+        vgpu::same_bytecode(*memo.program, exe.bytecode()) &&
+        std::equal(inputs.begin(), inputs.end(), memo.inputs.begin(),
+                   memo.inputs.end())) {
+      ctx.runs_reused += inputs.size();
+      continue;
+    }
+    // Forget the lane before running: a throw must leave no memo behind.
+    memo.program.reset();
     ctx.runs[p].resize(inputs.size());
-    vgpu::run_kernel_batch(set.exes[p], inputs, ctx.runs[p].data(), ctx.exec);
+    vgpu::run_kernel_batch(exe, inputs, ctx.runs[p].data(), ctx.exec);
+    ctx.runs_executed += inputs.size();
+    if (vm) {
+      memo.inputs.assign(inputs.begin(), inputs.end());
+      memo.program = exe.bytecode_cache;
+    }
   }
   ctx.cmps.resize(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {

@@ -5,6 +5,7 @@
 // registry platform selection — opt/platform.hpp).
 
 #include <array>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -87,22 +88,44 @@ ComparisonResult compare_run(const CompiledSet& set, const vgpu::KernelArgs& arg
 /// worker keeps one of these per thread and hands it to every
 /// compare_batch call, so the steady state performs no allocation at all
 /// (buffer capacity is retained across programs, levels and platforms).
+///
+/// Run memo: lane p remembers the lowered program it last ran and the
+/// inputs it ran it on.  When the next call brings a bit-identical program
+/// (vgpu::same_bytecode) and bit-identical inputs (KernelArgs ==), runs[p]
+/// already holds the results and the kernel is not run again — the
+/// campaign's O1/O2/O3 levels usually lower to the same program.  Only the
+/// bytecode backend records or reuses results; under the tree-walk oracle
+/// every run executes.  Treat runs and memo as compare_batch's own state.
 struct SweepContext {
+  struct LaneMemo {
+    /// Keeps the program alive, so its address cannot be reused by
+    /// another program while the memo refers to it.
+    std::shared_ptr<const vgpu::BytecodeProgram> program;
+    std::vector<vgpu::KernelArgs> inputs;
+  };
+
   vgpu::ExecContext exec;
   std::vector<std::vector<vgpu::RunResult>> runs;  ///< one lane per platform
+  std::vector<LaneMemo> memo;                      ///< what runs[p] holds
   std::vector<ComparisonResult> cmps;
+  /// Kernel runs (one platform, one input) executed and reused from the
+  /// memo.  Telemetry only: never part of any output bytes.
+  std::uint64_t runs_executed = 0;
+  std::uint64_t runs_reused = 0;
 };
 
 /// Batched sweep: run every input through one VM invocation loop per
 /// platform, amortizing argument validation and execution-context setup
-/// across the program's whole input set.  Result i is bit-identical to
+/// across the program's whole input set, and reusing a lane's results when
+/// the memo matches (see SweepContext).  Result i is bit-identical to
 /// compare_run(set, inputs[i]).  The returned reference aliases ctx.cmps
-/// and is valid until the next call with the same context.
+/// and is valid until the next call with the same context.  A throw from a
+/// lane's kernel leaves that lane with no memo.
 const std::vector<ComparisonResult>& compare_batch(
     const CompiledSet& set, std::span<const vgpu::KernelArgs> inputs,
     SweepContext& ctx);
 
-/// Convenience overload with throwaway scratch.
+/// Convenience overload with throwaway scratch: never reuses a result.
 std::vector<ComparisonResult> compare_batch(const CompiledSet& set,
                                             std::span<const vgpu::KernelArgs> inputs);
 

@@ -2,9 +2,17 @@
 
 #include <stdexcept>
 
+#include "fp/bits.hpp"
 #include "fp/hexfloat.hpp"
 
 namespace gpudiff::vgpu {
+
+bool operator==(const KernelArgs& a, const KernelArgs& b) noexcept {
+  if (a.ints != b.ints || a.fp.size() != b.fp.size()) return false;
+  for (std::size_t i = 0; i < a.fp.size(); ++i)
+    if (fp::to_bits(a.fp[i]) != fp::to_bits(b.fp[i])) return false;
+  return true;
+}
 
 std::string KernelArgs::to_varity_string(const ir::Program& program) const {
   std::string out;

@@ -26,7 +26,11 @@ struct KernelArgs {
   support::Json to_json(const ir::Program& program) const;
   static KernelArgs from_json(const support::Json& j, const ir::Program& program);
 
-  friend bool operator==(const KernelArgs&, const KernelArgs&) = default;
+  /// Bitwise equality: `fp` compares IEEE bit patterns, so -0.0 != +0.0,
+  /// NaNs with different payloads differ and a NaN equals itself.  Two
+  /// equal argument sets drive a kernel identically (the run memo in
+  /// diff::SweepContext relies on this).
+  friend bool operator==(const KernelArgs& a, const KernelArgs& b) noexcept;
 };
 
 }  // namespace gpudiff::vgpu

@@ -463,6 +463,39 @@ BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& en
   return out;
 }
 
+namespace {
+
+bool same_insn(const BcInsn& x, const BcInsn& y) noexcept {
+  // Field by field: BcInsn has padding, so memcmp could see garbage.
+  return x.op == y.op && x.aux == y.aux && x.sense == y.sense &&
+         x.u16 == y.u16 && x.dst == y.dst && x.a == y.a && x.b == y.b &&
+         x.c == y.c;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& x, const std::vector<T>& y) noexcept {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (fp::to_bits(x[i]) != fp::to_bits(y[i])) return false;
+  return true;
+}
+
+}  // namespace
+
+bool same_bytecode(const BytecodeProgram& a, const BytecodeProgram& b) noexcept {
+  if (&a == &b) return true;
+  if (a.precision_ != b.precision_ || !(a.env_ == b.env_) ||
+      a.mathlib_ != b.mathlib_ || a.num_params_ != b.num_params_ ||
+      a.num_regs_ != b.num_regs_ || a.num_temps_ != b.num_temps_ ||
+      a.cyc_div_ != b.cyc_div_ || a.cyc_call_ != b.cyc_call_ ||
+      a.array_params_ != b.array_params_ || a.code_.size() != b.code_.size())
+    return false;
+  for (std::size_t i = 0; i < a.code_.size(); ++i)
+    if (!same_insn(a.code_[i], b.code_[i])) return false;
+  return same_bits(a.consts64_, b.consts64_) &&
+         same_bits(a.consts32_, b.consts32_);
+}
+
 template <typename T>
 void BytecodeProgram::prepare(ExecContext& ctx) const {
   constexpr bool kFp32 = sizeof(T) == 4;

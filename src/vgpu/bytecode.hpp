@@ -174,6 +174,8 @@ class BytecodeProgram {
   friend class BytecodeCompiler;
   friend BytecodeProgram compile_bytecode(const ir::Program&, const fp::FpEnv&,
                                           const vmath::MathLib* mathlib);
+  friend bool same_bytecode(const BytecodeProgram& a,
+                            const BytecodeProgram& b) noexcept;
   template <typename T>
   void run_impl(const KernelArgs& args, ExecContext& ctx, RunResult& out) const;
   /// run_impl minus buffer sizing: requires prepare<T> was called on `ctx`.
@@ -185,6 +187,9 @@ class BytecodeProgram {
   template <typename T>
   void prepare(ExecContext& ctx) const;
 
+  // Everything execution reads.  A new member must also be compared in
+  // same_bytecode, or the run memo (diff::SweepContext) may reuse results
+  // across programs that differ in it.
   std::vector<BcInsn> code_;
   std::vector<double> consts64_;
   std::vector<float> consts32_;
@@ -207,6 +212,12 @@ class BytecodeProgram {
 /// even for unreachable malformed statements.
 BytecodeProgram compile_bytecode(const ir::Program& program, const fp::FpEnv& env,
                                  const vmath::MathLib* mathlib);
+
+/// True when `a` and `b` execute identically on every input: same
+/// instructions, constants by bit pattern (a 0.0 and a -0.0 literal
+/// differ), array slots, precision, FP environment, math library (by
+/// identity) and cycle model.
+bool same_bytecode(const BytecodeProgram& a, const BytecodeProgram& b) noexcept;
 
 /// The execution engine run_batch uses: always the scalar VM.  Kept only
 /// because the benchmark harness (perfbench/src/harness.cpp) prints it.

@@ -11,7 +11,10 @@
 #include "diff/report.hpp"
 #include "diff/runner.hpp"
 #include "fp/bits.hpp"
+#include "gen/generator.hpp"
+#include "gen/inputs.hpp"
 #include "ir/builder.hpp"
+#include "vgpu/interp.hpp"
 
 namespace {
 
@@ -140,6 +143,272 @@ TEST(Runner, CompiledSetReusableAcrossInputs) {
     const auto cmp = compare_run(set, args);
     EXPECT_FALSE(cmp.discrepant());
   }
+}
+
+// ---------------------------------------------------------------------------
+// compare_batch run memo (SweepContext)
+// ---------------------------------------------------------------------------
+
+void expect_same_comparisons(const std::vector<ComparisonResult>& got,
+                             const std::vector<ComparisonResult>& want,
+                             const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::string at = where + " input " + std::to_string(i);
+    ASSERT_EQ(got[i].count, want[i].count) << at;
+    for (std::uint32_t p = 0; p < want[i].count; ++p) {
+      const PlatformResult& g = got[i].platforms[p];
+      const PlatformResult& w = want[i].platforms[p];
+      EXPECT_EQ(g.bits, w.bits) << at << " platform " << p;
+      EXPECT_EQ(fp::to_bits(g.value), fp::to_bits(w.value)) << at;
+      EXPECT_EQ(g.flags.raw(), w.flags.raw()) << at << " platform " << p;
+      EXPECT_EQ(g.op_count, w.op_count) << at << " platform " << p;
+      EXPECT_EQ(g.outcome, w.outcome) << at << " platform " << p;
+      EXPECT_EQ(got[i].pair_cls[p], want[i].pair_cls[p]) << at;
+    }
+    EXPECT_EQ(got[i].cls, want[i].cls) << at;
+  }
+}
+
+std::vector<vgpu::KernelArgs> generated_inputs(const ir::Program& program,
+                                               const gen::InputGenerator& gen,
+                                               std::uint64_t pi, int n) {
+  std::vector<vgpu::KernelArgs> inputs;
+  for (int ii = 0; ii < n; ++ii) inputs.push_back(gen.generate(program, pi, ii));
+  return inputs;
+}
+
+// comp += x + <zero literal>: two programs that differ only in the sign of
+// one literal.
+ir::Program add_zero_literal_program(double zero, const char* text) {
+  ir::ProgramBuilder b(ir::Precision::FP64);
+  ir::Arena& A = b.arena();
+  const int x = b.add_scalar_param();
+  b.assign_comp(ir::AssignOp::Add,
+                ir::make_bin(A, ir::BinOp::Add, ir::make_param(A, x),
+                             ir::make_literal(A, zero, text)));
+  return b.build();
+}
+
+// comp += x: the result carries the input's sign of zero and NaN payload.
+ir::Program accumulate_program(ir::Precision precision) {
+  ir::ProgramBuilder b(precision);
+  ir::Arena& A = b.arena();
+  const int x = b.add_scalar_param();
+  b.assign_comp(ir::AssignOp::Add, ir::make_param(A, x));
+  return b.build();
+}
+
+vgpu::KernelArgs scalar_args(double comp, double x) {
+  vgpu::KernelArgs args;
+  args.fp = {comp, x};
+  args.ints = {0, 0};
+  return args;
+}
+
+TEST(RunMemo, PersistentContextMatchesFreshContext) {
+  // The campaign's level-major loop with one SweepContext kept across
+  // programs and levels must produce exactly what a fresh context per call
+  // produces, on every registry platform, both precisions, with and without
+  // the HIPIFY binding.
+  const std::vector<opt::PlatformSpec>& platforms = opt::platform_registry();
+  for (const ir::Precision precision :
+       {ir::Precision::FP64, ir::Precision::FP32}) {
+    for (const bool hipify : {false, true}) {
+      gen::GenConfig gcfg;
+      gcfg.precision = precision;
+      const gen::Generator generator(gcfg, 31);
+      const gen::InputGenerator input_gen(31);
+      SweepContext sweep;
+      for (std::uint64_t pi = 0; pi < 20; ++pi) {
+        const ir::Program program = generator.generate(pi);
+        const auto inputs = generated_inputs(program, input_gen, pi, 7);
+        for (const opt::OptLevel level : opt::kAllOptLevels) {
+          const CompiledSet set =
+              compile_set(program, platforms, level, hipify);
+          const std::string where =
+              std::string(precision == ir::Precision::FP32 ? "fp32" : "fp64") +
+              (hipify ? " hipify" : "") + " program " + std::to_string(pi) +
+              " " + opt::to_string(level);
+          expect_same_comparisons(compare_batch(set, inputs, sweep),
+                                  compare_batch(set, inputs), where);
+        }
+      }
+      EXPECT_GT(sweep.runs_reused, 0u);
+    }
+  }
+}
+
+TEST(RunMemo, DefaultPairReusesO2AndO3ForEveryProgram) {
+  // O1, O2 and O3 run the same numerics passes, so the O2 and O3 calls of
+  // the level-major loop must be served entirely from the memo.
+  const gen::Generator generator(gen::GenConfig{}, 5);
+  const gen::InputGenerator input_gen(5);
+  SweepContext sweep;
+  for (std::uint64_t pi = 0; pi < 30; ++pi) {
+    const ir::Program program = generator.generate(pi);
+    const auto inputs = generated_inputs(program, input_gen, pi, 7);
+    for (const opt::OptLevel level : opt::kAllOptLevels) {
+      const CompiledSet set = compile_pair(program, level);
+      const std::uint64_t executed = sweep.runs_executed;
+      const std::uint64_t reused = sweep.runs_reused;
+      compare_batch(set, inputs, sweep);
+      if (level != opt::OptLevel::O2 && level != opt::OptLevel::O3) continue;
+      EXPECT_EQ(sweep.runs_executed, executed)
+          << "program " << pi << " " << opt::to_string(level);
+      EXPECT_EQ(sweep.runs_reused - reused, 2u * inputs.size())
+          << "program " << pi << " " << opt::to_string(level);
+    }
+  }
+}
+
+TEST(RunMemo, SignOfZeroLiteralMisses) {
+  const CompiledSet pos = compile_pair(
+      add_zero_literal_program(0.0, "+0.0"), opt::OptLevel::O0);
+  const CompiledSet neg = compile_pair(
+      add_zero_literal_program(-0.0, "-0.0"), opt::OptLevel::O0);
+  EXPECT_TRUE(vgpu::same_bytecode(pos.exes[0].bytecode(),
+                                  pos.exes[0].bytecode()));
+  EXPECT_FALSE(vgpu::same_bytecode(pos.exes[0].bytecode(),
+                                   neg.exes[0].bytecode()));
+  const std::vector<vgpu::KernelArgs> inputs = {scalar_args(-0.0, -0.0)};
+  SweepContext sweep;
+  const std::uint64_t pos_bits =
+      compare_batch(pos, inputs, sweep)[0].platforms[0].bits;
+  const auto& got = compare_batch(neg, inputs, sweep);
+  EXPECT_EQ(sweep.runs_reused, 0u);
+  EXPECT_EQ(sweep.runs_executed, 4u);
+  expect_same_comparisons(got, compare_batch(neg, inputs), "-0.0 literal");
+  EXPECT_NE(got[0].platforms[0].bits, pos_bits);  // -0 + -0 vs -0 + +0
+}
+
+TEST(RunMemo, InputSignOfZeroAndNaNPayloadMiss) {
+  const CompiledSet set = compile_pair(
+      accumulate_program(ir::Precision::FP64), opt::OptLevel::O0);
+  const double nan1 = fp::from_bits<double>(0x7FF8000000000001ull);
+  const double nan2 = fp::from_bits<double>(0x7FF8000000000002ull);
+  const std::vector<std::vector<vgpu::KernelArgs>> batches = {
+      {scalar_args(-0.0, +0.0)},
+      {scalar_args(-0.0, -0.0)},
+      {scalar_args(0.0, nan1)},
+      {scalar_args(0.0, nan2)},
+  };
+  SweepContext sweep;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::uint64_t executed = sweep.runs_executed;
+    expect_same_comparisons(compare_batch(set, batches[b], sweep),
+                            compare_batch(set, batches[b]),
+                            "batch " + std::to_string(b));
+    EXPECT_EQ(sweep.runs_executed - executed, 2u) << "batch " << b;
+  }
+  EXPECT_EQ(sweep.runs_reused, 0u);
+  // The same NaN payload again is a hit: a NaN input equals itself.
+  compare_batch(set, batches.back(), sweep);
+  EXPECT_EQ(sweep.runs_reused, 2u);
+}
+
+TEST(RunMemo, EnvOnlyDifferenceMisses) {
+  // hipcc vs hipcc-ftz at O0 on FP32: same instructions, different FTZ/DAZ.
+  const ir::Program program = accumulate_program(ir::Precision::FP32);
+  const auto plain = opt::parse_platform_list("nvcc,hipcc");
+  const auto ftz = opt::parse_platform_list("nvcc,hipcc-ftz");
+  const CompiledSet a = compile_set(program, plain, opt::OptLevel::O0);
+  const CompiledSet b = compile_set(program, ftz, opt::OptLevel::O0);
+  ASSERT_EQ(a.exes[1].bytecode().insn_count(), b.exes[1].bytecode().insn_count());
+  EXPECT_FALSE(vgpu::same_bytecode(a.exes[1].bytecode(), b.exes[1].bytecode()));
+  const double subnormal = static_cast<double>(fp::from_bits<float>(1u));
+  const std::vector<vgpu::KernelArgs> inputs = {scalar_args(0.0, subnormal)};
+  SweepContext sweep;
+  compare_batch(a, inputs, sweep);
+  const auto& got = compare_batch(b, inputs, sweep);
+  EXPECT_EQ(sweep.runs_reused, 1u);  // nvcc lane only
+  EXPECT_EQ(sweep.runs_executed, 3u);
+  expect_same_comparisons(got, compare_batch(b, inputs), "hipcc-ftz");
+  EXPECT_EQ(got[0].pair_cls[1], DiscrepancyClass::Num_Zero);
+}
+
+TEST(RunMemo, MathlibOnlyDifferenceMisses) {
+  ir::ProgramBuilder builder(ir::Precision::FP64);
+  ir::Arena& A = builder.arena();
+  const int x = builder.add_scalar_param();
+  builder.assign_comp(ir::AssignOp::Add,
+                      ir::make_call(A, ir::MathFn::Sin, ir::make_param(A, x)));
+  const ir::Program program = builder.build();
+  const opt::PlatformSpec nvcc = *opt::find_platform("nvcc");
+  opt::PlatformSpec ocml = nvcc;
+  ocml.mathlib = "amd-ocml-sim";
+  const CompiledSet a = compile_set(program, {&nvcc, 1}, opt::OptLevel::O0);
+  const CompiledSet b = compile_set(program, {&ocml, 1}, opt::OptLevel::O0);
+  ASSERT_NE(a.exes[0].mathlib, b.exes[0].mathlib);
+  ASSERT_EQ(a.exes[0].env, b.exes[0].env);
+  EXPECT_FALSE(vgpu::same_bytecode(a.exes[0].bytecode(), b.exes[0].bytecode()));
+  const std::vector<vgpu::KernelArgs> inputs = {scalar_args(0.0, 1e22),
+                                                scalar_args(0.0, 0.5)};
+  SweepContext sweep;
+  compare_batch(a, inputs, sweep);
+  expect_same_comparisons(compare_batch(b, inputs, sweep),
+                          compare_batch(b, inputs), "amd-ocml-sim");
+  EXPECT_EQ(sweep.runs_reused, 0u);
+  EXPECT_EQ(sweep.runs_executed, 4u);
+}
+
+TEST(RunMemo, ThrowingBatchLeavesNoMemo) {
+  // A store to a non-array parameter lowers to a trap that input 1
+  // reaches; input 0 skips it.
+  ir::Arena A;
+  std::vector<ir::Param> params{{ir::ParamKind::Comp, "comp"},
+                                {ir::ParamKind::Scalar, "var_1"}};
+  std::vector<ir::StmtId> guarded;
+  guarded.push_back(ir::make_store_array(A, 1, ir::make_literal(A, 0.0),
+                                         ir::make_literal(A, 1.0)));
+  std::vector<ir::StmtId> body;
+  body.push_back(ir::make_if(
+      A,
+      ir::make_cmp(A, ir::CmpOp::Ne, ir::make_param(A, 1),
+                   ir::make_literal(A, 0.0)),
+      guarded));
+  body.push_back(
+      ir::make_assign_comp(A, ir::AssignOp::Add, ir::make_literal(A, 2.0)));
+  const CompiledSet set = compile_pair(
+      ir::Program(ir::Precision::FP64, std::move(params), std::move(A),
+                  std::move(body)),
+      opt::OptLevel::O0);
+  const std::vector<vgpu::KernelArgs> good = {scalar_args(1.0, 0.0)};
+  const std::vector<vgpu::KernelArgs> bad = {scalar_args(1.0, 0.0),
+                                             scalar_args(1.0, 1.0)};
+  SweepContext sweep;
+  compare_batch(set, good, sweep);
+  ASSERT_NE(sweep.memo[0].program, nullptr);
+  EXPECT_THROW(compare_batch(set, bad, sweep), std::runtime_error);
+  EXPECT_EQ(sweep.memo[0].program, nullptr);
+  // The throwing lane's buffer now holds the partial batch; it must run
+  // again.  The untouched lane still matches its memo.
+  const std::uint64_t executed = sweep.runs_executed;
+  expect_same_comparisons(compare_batch(set, good, sweep),
+                          compare_batch(set, good), "after throw");
+  EXPECT_EQ(sweep.runs_executed - executed, 1u);
+}
+
+TEST(RunMemo, TreeBackendReExecutes) {
+  const CompiledSet set = compile_pair(
+      accumulate_program(ir::Precision::FP64), opt::OptLevel::O2);
+  const std::vector<vgpu::KernelArgs> inputs = {scalar_args(1.0, 2.0),
+                                                scalar_args(0.0, -3.5)};
+  SweepContext sweep;
+  compare_batch(set, inputs, sweep);
+  compare_batch(set, inputs, sweep);
+  EXPECT_EQ(sweep.runs_executed, 4u);
+  EXPECT_EQ(sweep.runs_reused, 4u);
+  vgpu::set_exec_backend(vgpu::ExecBackend::TreeWalk);
+  const auto tree = compare_batch(set, inputs, sweep);
+  const auto tree_again = compare_batch(set, inputs, sweep);
+  vgpu::set_exec_backend(vgpu::ExecBackend::Bytecode);
+  EXPECT_EQ(sweep.runs_executed, 12u);  // the oracle ran every call
+  EXPECT_EQ(sweep.runs_reused, 4u);
+  expect_same_comparisons(tree, compare_batch(set, inputs), "tree");
+  expect_same_comparisons(tree_again, tree, "tree again");
+  compare_batch(set, inputs, sweep);  // memo was dropped under the oracle
+  EXPECT_EQ(sweep.runs_executed, 16u);
 }
 
 // ---------------------------------------------------------------------------

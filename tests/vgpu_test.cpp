@@ -161,9 +161,34 @@ TEST(KernelArgs, JsonRoundTrip) {
   args.fp = {-0.0, 0.0, 1e-310, 3.5};
   args.ints = {0, 7, 0, 0};
   const KernelArgs back = KernelArgs::from_json(args.to_json(p), p);
-  EXPECT_EQ(back, args);
-  // Signed zero preserved.
-  EXPECT_TRUE(fp::sign_bit(back.fp[0]));
+  EXPECT_EQ(back, args);  // bitwise: the -0.0 and the subnormal survive
+}
+
+TEST(KernelArgs, EqualityIsBitwise) {
+  const auto make = [](double x) {
+    KernelArgs args;
+    args.fp = {0.0, x};
+    args.ints = {0, 3};
+    return args;
+  };
+  EXPECT_EQ(make(1.5), make(1.5));
+  EXPECT_NE(make(0.0), make(-0.0));
+  const double nan1 = fp::from_bits<double>(0x7FF8000000000001ull);
+  const double nan2 = fp::from_bits<double>(0x7FF8000000000002ull);
+  EXPECT_EQ(make(nan1), make(nan1));  // a NaN equals itself
+  EXPECT_NE(make(nan1), make(nan2));  // but not another payload
+  EXPECT_NE(make(nan1), make(-nan1));
+  const double sub1 = fp::from_bits<double>(1ull);
+  const double sub2 = fp::from_bits<double>(2ull);
+  EXPECT_EQ(make(sub1), make(sub1));
+  EXPECT_NE(make(sub1), make(sub2));
+  EXPECT_NE(make(sub1), make(0.0));
+  KernelArgs other_ints = make(1.5);
+  other_ints.ints[1] = 4;
+  EXPECT_NE(other_ints, make(1.5));
+  KernelArgs shorter = make(1.5);
+  shorter.fp.pop_back();
+  EXPECT_NE(shorter, make(1.5));
 }
 
 TEST(KernelArgs, JsonRejectsWrongArity) {
