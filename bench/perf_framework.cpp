@@ -13,13 +13,13 @@
 #include <cmath>
 #include <filesystem>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/coordinator.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
-#include "campaign/shard.hpp"
 #include "campaign/transport.hpp"
 #include "diff/campaign.hpp"
 #include "diff/runner.hpp"
@@ -217,9 +217,10 @@ void BM_CampaignSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignSmall)->Unit(benchmark::kMillisecond);
 
-/// The same campaign as BM_CampaignSmall carved into N shards, each run on
-/// its own std::thread (single-threaded internally — the scale-out shape
-/// where a shard is one machine), then merged.  Compares against
+/// The same campaign as BM_CampaignSmall carved into N balanced ranges
+/// (lease_range), each run through diff::run_campaign_range on its own
+/// std::thread (single-threaded internally — the scale-out shape where a
+/// shard is one machine), then folded with merge_blocks.  Compares against
 /// BM_CampaignSmall to price the orchestration layer and show the
 /// shard-level speedup.
 void BM_CampaignSharded(benchmark::State& state) {
@@ -228,19 +229,25 @@ void BM_CampaignSharded(benchmark::State& state) {
   cfg.num_programs = 16;
   cfg.inputs_per_program = 4;
   cfg.threads = 1;
+  const support::Json echo = campaign::config_to_json(cfg);
   for (auto _ : state) {
-    std::vector<campaign::ShardProgress> parts(static_cast<std::size_t>(shards));
+    std::vector<campaign::ResultBlock> blocks(static_cast<std::size_t>(shards));
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(shards));
     for (int i = 0; i < shards; ++i) {
       workers.emplace_back([&, i] {
-        campaign::ShardRunOptions options;
-        options.shard = {i, shards};
-        parts[static_cast<std::size_t>(i)] = campaign::run_shard(cfg, options);
+        campaign::ResultBlock& block = blocks[static_cast<std::size_t>(i)];
+        std::tie(block.begin, block.end) =
+            campaign::lease_range(cfg.num_programs, shards, i);
+        diff::RangeOutcome out =
+            diff::run_campaign_range(cfg, block.begin, block.end);
+        block.config_echo = echo;
+        block.per_level = std::move(out.per_level);
+        block.records = std::move(out.records);
       });
     }
     for (auto& w : workers) w.join();
-    benchmark::DoNotOptimize(campaign::merge_shards(std::move(parts)));
+    benchmark::DoNotOptimize(campaign::merge_blocks(echo, std::move(blocks)));
   }
 }
 BENCHMARK(BM_CampaignSharded)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

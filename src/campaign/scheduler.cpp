@@ -35,6 +35,48 @@ support::Json make_manifest(const support::Json& config_echo, int lease_size,
   return j;
 }
 
+void ShardSpec::validate() const {
+  if (count <= 0 || index < 0 || index >= count)
+    throw std::invalid_argument("shard: index " + std::to_string(index) +
+                                " not in [0, " + std::to_string(count) + ")");
+}
+
+std::pair<std::uint64_t, std::uint64_t> ShardSpec::program_range(int n) const {
+  validate();
+  if (n < 0) throw std::invalid_argument("shard: negative item count");
+  const auto total = static_cast<std::uint64_t>(n);
+  const auto i = static_cast<std::uint64_t>(index);
+  const auto c = static_cast<std::uint64_t>(count);
+  return {total * i / c, total * (i + 1) / c};
+}
+
+bool parse_shard(const std::string& text, ShardSpec* out) {
+  const auto slash = text.find('/');
+  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size())
+    return false;
+  const std::string idx = text.substr(0, slash);
+  const std::string cnt = text.substr(slash + 1);
+  const auto all_digits = [](const std::string& s) {
+    return !s.empty() &&
+           std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
+  };
+  if (!all_digits(idx) || !all_digits(cnt)) return false;
+  ShardSpec spec;
+  try {
+    spec.index = std::stoi(idx);
+    spec.count = std::stoi(cnt);
+  } catch (const std::exception&) {
+    return false;
+  }
+  if (spec.count <= 0 || spec.index < 0 || spec.index >= spec.count) return false;
+  if (out != nullptr) *out = spec;
+  return true;
+}
+
+std::string to_string(const ShardSpec& spec) {
+  return std::to_string(spec.index) + "/" + std::to_string(spec.count);
+}
+
 int lease_count(int num_programs, int lease_size) {
   if (num_programs < 0)
     throw std::invalid_argument("lease_count: negative program count");
@@ -45,9 +87,9 @@ int lease_count(int num_programs, int lease_size) {
 
 std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
                                                     int count, int index) {
-  // One balanced-partition formula for the whole subsystem: the byte
-  // identity of merged results must never depend on two copies of the
-  // rounding math staying in sync.
+  // One balanced-partition formula for the whole subsystem (a shard's
+  // lease slice uses it too): the byte identity of merged results must
+  // never depend on two copies of the rounding math staying in sync.
   return ShardSpec{index, count}.program_range(num_programs);
 }
 
@@ -303,6 +345,11 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
                          LeaseTransport& transport) {
   const int lease_size = std::max(1, options.lease_size);
   const int count = lease_count(config.num_programs, lease_size);
+  // This worker's slice [first, first + slice) of the K leases; the
+  // default 0/1 shard is all of them.
+  const auto [slice_begin, slice_end] = options.shard.program_range(count);
+  const int first = static_cast<int>(slice_begin);
+  const int slice = static_cast<int>(slice_end - slice_begin);
   const support::Json echo = config_to_json(config);
   const auto stop = [&] {
     return options.stop_requested && options.stop_requested();
@@ -341,13 +388,18 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   }
   down_spells = 0;
 
-  std::vector<char> done(static_cast<std::size_t>(count), 0);
+  // Indexed by k - first: done state of this worker's slice only.
+  std::vector<char> done(static_cast<std::size_t>(slice), 0);
   int n_done = 0;
+  const auto is_done = [&](int k) {
+    return done[static_cast<std::size_t>(k - first)] != 0;
+  };
+  const auto mark_done = [&](int k) {
+    done[static_cast<std::size_t>(k - first)] = 1;
+    ++n_done;
+  };
   const auto refresh = [&](int k) {
-    if (done[static_cast<std::size_t>(k)] == 0 && transport.is_done(k)) {
-      done[static_cast<std::size_t>(k)] = 1;
-      ++n_done;
-    }
+    if (!is_done(k) && transport.is_done(k)) mark_done(k);
   };
   // A worker that runs out of claimable leases waits for its peers (or for
   // their claims to age out) and re-scans at this cadence.
@@ -358,20 +410,20 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   // simultaneously fans out across the lease range instead of serializing
   // on lease 0's claim file.
   const int offset =
-      count == 0 ? 0
+      slice == 0 ? 0
                  : static_cast<int>(std::hash<std::string>{}(
                                         transport.worker_id()) %
-                                    static_cast<std::size_t>(count));
+                                    static_cast<std::size_t>(slice));
 
   bool stopped = false;
-  while (n_done < count && !(stopped = stop())) {
+  while (n_done < slice && !(stopped = stop())) {
     bool progressed = false;
     bool transport_down = false;
     try {
-      for (int step = 0; step < count; ++step) {
-        const int k = (offset + step) % count;
+      for (int step = 0; step < slice; ++step) {
+        const int k = first + (offset + step) % slice;
         refresh(k);
-        if (done[static_cast<std::size_t>(k)] != 0) continue;
+        if (is_done(k)) continue;
         if ((stopped = stop())) break;
         bool stolen = false;
         // Check the claim's age before attempting one, so workers waiting
@@ -389,7 +441,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
           // wins — no steal — but reap the claim so it does not haunt the
           // directory forever.
           refresh(k);
-          if (done[static_cast<std::size_t>(k)] != 0) {
+          if (is_done(k)) {
             transport.reap_claim(k);
             continue;
           }
@@ -402,7 +454,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
         // done file before releasing.  Re-check under the claim so a
         // just-finished lease is never re-executed.
         refresh(k);
-        if (done[static_cast<std::size_t>(k)] != 0) {
+        if (is_done(k)) {
           transport.release(k);
           continue;
         }
@@ -423,8 +475,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
           throw;
         }
         transport.release(k);
-        done[static_cast<std::size_t>(k)] = 1;
-        ++n_done;
+        mark_done(k);
         ++outcome.leases_completed;
         if (stolen) ++outcome.leases_stolen;
         outcome.programs_executed += end - begin;
@@ -440,7 +491,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
       // and rescan once the coordinator returns.
       transport_down = true;
     }
-    if (stopped || n_done >= count) break;
+    if (stopped || n_done >= slice) break;
     if (transport_down) {
       if (!support::interruptible_sleep(
               reconnect.backoff_for(down_spells++), stop)) {
@@ -462,14 +513,13 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
     }
   }
   try {
-    for (int k = 0; k < count; ++k) {
+    for (int k = first; k < first + slice; ++k) {
       refresh(k);
       // A claim lingering on a done lease is garbage (done is terminal; a
       // racing fresh claimer re-checks done and backs off) — typically a
       // peer killed between publish and release.  Reap it so a finished
       // directory holds no claim files.
-      if (done[static_cast<std::size_t>(k)] != 0 &&
-          transport.claim_age_seconds(k) >= 0.0)
+      if (is_done(k) && transport.claim_age_seconds(k) >= 0.0)
         transport.reap_claim(k);
     }
   } catch (const TransportError&) {
@@ -478,7 +528,7 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
   // drain(): a TCP worker holding journaled blocks the coordinator never
   // received must not report completion — its results are not yet where
   // the merge will look for them.
-  outcome.campaign_complete = n_done == count && transport.drain();
+  outcome.campaign_complete = n_done == slice && transport.drain();
   return outcome;
 }
 
@@ -494,37 +544,6 @@ bool campaign_complete(const std::string& dir) {
     if (!std::filesystem::exists(LeaseBoard::done_path(dir, k))) return false;
   }
   return true;
-}
-
-support::Json config_echo_of_dir(const std::string& dir) {
-  if (std::filesystem::exists(LeaseBoard::manifest_path(dir)))
-    return LeaseBoard::load_manifest(dir).at("config");
-  // Fixed-carve shard directory: every checkpoint embeds the same
-  // fingerprint (the merge validates that), so the lexicographically
-  // first one speaks for the campaign.
-  std::vector<std::string> paths;
-  if (!std::filesystem::is_directory(dir))
-    throw std::runtime_error("config_echo_of_dir: not a directory: " + dir);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.find(".tmp") != std::string::npos) continue;
-    if (name.rfind("shard-", 0) == 0 && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, ".json") == 0)
-      paths.push_back(entry.path().string());
-  }
-  if (paths.empty())
-    throw std::runtime_error(
-        "config_echo_of_dir: " + dir +
-        " holds neither a campaign manifest nor shard checkpoints");
-  std::sort(paths.begin(), paths.end());
-  try {
-    return support::Json::parse(support::read_file(paths.front()))
-        .at("config");
-  } catch (const std::exception& e) {
-    throw std::runtime_error("config_echo_of_dir: " + paths.front() + ": " +
-                             e.what());
-  }
 }
 
 diff::CampaignResults merge_lease_dir(const std::string& dir,

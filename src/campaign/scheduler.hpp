@@ -1,18 +1,22 @@
 #pragma once
-// Work-stealing shard scheduler over a shared checkpoint directory.
+// Lease scheduler: the one on-disk layout every distributed campaign uses.
 //
-// PR 3's fixed i/N carve hands every machine a same-sized slice of the
-// program range up front; one slow or dead machine strands its slice while
-// the rest idle.  This layer replaces the static carve with fine-grained
-// *leases*: the program range is split into K balanced contiguous ranges
-// (lease_count / lease_range below), and N independent worker processes —
-// started by any job launcher, even
+// The program range is split into K balanced contiguous *leases*
+// (lease_count / lease_range below).  Worker processes — started by any
+// job launcher, even
 //   for i in 0 1 2; do gpudiff-campaign --worker dir ... & done
 // — claim leases one at a time from a shared directory, execute them
 // through diff::run_campaign_range, and publish each lease's ResultBlock.
 // Heterogeneous machines self-balance: a fast machine simply claims more
 // leases, and a dead machine's lease is reclaimed once its heartbeat goes
 // stale.
+//
+// A fixed carve ("shard i of N", `--shard i/N --checkpoint-dir dir`) is the
+// same worker restricted to a precomputed slice of the leases: shard i owns
+// leases lease_range(K, N, i), the balanced partition applied to lease
+// indices.  Resume needs no format of its own — a re-run skips every lease
+// whose done file exists — and one merge (merge_lease_dir) serves fleets,
+// shards and the TCP coordinator's state directory alike.
 //
 // Coordination protocol (all files live in the shared directory; see
 // support/lockfile.hpp for the primitives):
@@ -59,12 +63,33 @@ namespace gpudiff::campaign {
 
 class LeaseTransport;  // campaign/transport.hpp
 
+/// "Shard i of N" of a range of n items: shard `index` owns the contiguous
+/// range [n*i/N, n*(i+1)/N).  The union over all shards is exactly [0, n)
+/// with no overlap, and ranges differ in size by at most one.  The one
+/// balanced-partition formula of the subsystem: programs into leases
+/// (lease_range) and leases into a shard's slice (WorkerOptions::shard).
+struct ShardSpec {
+  int index = 0;
+  int count = 1;
+
+  /// Throws std::invalid_argument unless 0 <= index < count.
+  void validate() const;
+  /// This shard's [begin, end) range of an n-item partition.
+  std::pair<std::uint64_t, std::uint64_t> program_range(int n) const;
+
+  friend bool operator==(const ShardSpec&, const ShardSpec&) = default;
+};
+
+/// Parse "i/N" (e.g. "2/8").  Returns false on malformed or out-of-range.
+bool parse_shard(const std::string& text, ShardSpec* out);
+std::string to_string(const ShardSpec& spec);
+
 /// Number of leases for an n-program campaign with target lease size
 /// `lease_size` (clamped to >= 1): ceil(n / lease_size), 0 when n == 0.
 int lease_count(int num_programs, int lease_size);
 
-/// Lease `index` of `count` over [0, n): the same balanced contiguous
-/// partition as ShardSpec::program_range — ranges are disjoint, cover
+/// Lease `index` of `count` over [0, n): ShardSpec{index, count}'s
+/// balanced contiguous partition — ranges are disjoint, cover
 /// exactly [0, n), and differ in size by at most one (so no lease exceeds
 /// the requested lease size).
 std::pair<std::uint64_t, std::uint64_t> lease_range(int num_programs,
@@ -177,6 +202,11 @@ struct WorkerOptions {
   double stale_after_seconds = 60.0;
   /// Unique worker name; empty uses default_worker_id().
   std::string worker_id;
+  /// The slice of leases this worker may execute: shard i of N owns
+  /// leases lease_range(K, N, i) of the campaign's K.  The default 0/1 is
+  /// every lease (a fleet worker); a fixed carve gives each process its
+  /// own slice, and the worker scans, counts and waits only over it.
+  ShardSpec shard;
   /// Polled between leases (and while waiting for peers).  Returning true
   /// stops the worker gracefully: the in-flight lease is still finished,
   /// published and released, so an interrupted worker never strands
@@ -196,13 +226,14 @@ struct WorkerOutcome {
   int leases_completed = 0;   ///< leases this worker executed and published
   int leases_stolen = 0;      ///< of those, how many were stale reclaims
   std::uint64_t programs_executed = 0;
-  /// True when every lease in the campaign has a done file — the signal
-  /// that --merge will succeed.  False only after stop_requested.
+  /// True when every lease of the worker's shard slice has a done file —
+  /// for the default 0/1 slice, the signal that --merge will succeed.
+  /// False only after stop_requested.
   bool campaign_complete = false;
 };
 
-/// Run one worker against the shared directory until the campaign is
-/// complete or stop_requested fires.  A worker that runs out of claimable
+/// Run one worker against the shared directory until every lease of its
+/// shard slice is done or stop_requested fires.  A worker that runs out of claimable
 /// leases waits (claimed leases may belong to live peers) and re-scans,
 /// stealing stale claims as they age out — so a fleet converges even when
 /// members die, and `for ...; do gpudiff-campaign --worker ... & done`
@@ -221,13 +252,6 @@ WorkerOutcome run_worker(const diff::CampaignConfig& config,
 
 /// True when a manifest exists and every lease has a done file.
 bool campaign_complete(const std::string& dir);
-
-/// The configuration fingerprint a results directory was produced under:
-/// the manifest's "config" for a lease/coordinator directory, the first
-/// shard checkpoint's for a fixed-carve directory.  Throws if the
-/// directory holds neither.  This is what lets `--merge --report-v2`
-/// stamp the merged report with the fingerprint the store keys it by.
-support::Json config_echo_of_dir(const std::string& dir);
 
 struct LeaseMergeOptions {
   /// On a truncated or JSON-corrupt done file, rename it to

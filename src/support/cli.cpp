@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -89,6 +90,12 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
 
     if (opt->kind == Kind::Flag) {
+      // A flag takes no value: "--tables=no" must not read as "--tables".
+      if (has_inline_value) {
+        std::fprintf(stderr, "%s: flag '--%s' takes no value\n", program_.c_str(),
+                     arg.substr(2, arg.find('=') - 2).c_str());
+        return false;
+      }
       opt->flag_value = true;
       continue;
     }
@@ -99,18 +106,21 @@ bool CliParser::parse(int argc, const char* const* argv) {
       }
       value = argv[++i];
     }
+    // strtoll/strtod saturate out-of-range values and report it only
+    // through errno; a saturated value is refused like a malformed one.
     char* end = nullptr;
+    errno = 0;
     switch (opt->kind) {
       case Kind::Int:
         opt->int_value = std::strtoll(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0') {
+        if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
           std::fprintf(stderr, "%s: bad integer '%s'\n", program_.c_str(), value.c_str());
           return false;
         }
         break;
       case Kind::Double:
         opt->double_value = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
+        if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
           std::fprintf(stderr, "%s: bad number '%s'\n", program_.c_str(), value.c_str());
           return false;
         }

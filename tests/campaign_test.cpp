@@ -1,20 +1,22 @@
 // Tests for the campaign orchestration subsystem: deterministic shard
-// partitioning, checkpoint/resume, the merge stage and record-cap
-// semantics.  The load-bearing property throughout is byte-identity: the
-// canonical JSON of a merged sharded (or killed-and-resumed) campaign must
-// equal the unsharded diff::run_campaign output exactly.
+// partitioning, fixed-slice shards over the lease layout, resume, the merge
+// stage and record-cap semantics.  The load-bearing property throughout is
+// byte-identity: the canonical JSON of a merged sharded (or
+// killed-and-resumed) campaign must equal the unsharded diff::run_campaign
+// output exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
-#include "campaign/shard.hpp"
 #include "diff/campaign.hpp"
 #include "ir/builder.hpp"
 #include "support/json.hpp"
@@ -25,9 +27,9 @@
 namespace {
 
 using namespace gpudiff;
-using campaign::ShardProgress;
-using campaign::ShardRunOptions;
 using campaign::ShardSpec;
+using campaign::WorkerOptions;
+using campaign::WorkerOutcome;
 
 diff::CampaignConfig small_config(int programs = 45) {
   diff::CampaignConfig cfg;
@@ -41,14 +43,38 @@ std::string canonical(const diff::CampaignResults& results) {
   return campaign::results_to_json(results).dump(1);
 }
 
-diff::CampaignResults run_sharded(const diff::CampaignConfig& cfg, int count) {
-  std::vector<ShardProgress> parts;
+/// What `gpudiff-campaign --shard i/N --checkpoint-dir dir` runs: a lease
+/// worker restricted to shard i's fixed slice of the leases.
+WorkerOptions shard_options(const std::string& dir, int index, int count,
+                            int lease_size = 4) {
+  WorkerOptions options;
+  options.dir = dir;
+  options.shard = {index, count};
+  options.lease_size = lease_size;
+  options.worker_id = "shard-" + std::to_string(index);
+  return options;
+}
+
+/// Run every shard i/N into `dir` in turn, then merge the directory.
+diff::CampaignResults run_sharded(const diff::CampaignConfig& cfg, int count,
+                                  const std::string& dir, int lease_size = 4) {
   for (int i = 0; i < count; ++i) {
-    ShardRunOptions options;
-    options.shard = {i, count};
-    parts.push_back(campaign::run_shard(cfg, options));
+    const WorkerOutcome outcome =
+        campaign::run_worker(cfg, shard_options(dir, i, count, lease_size));
+    EXPECT_TRUE(outcome.campaign_complete) << "shard " << i << "/" << count;
   }
-  return campaign::merge_shards(std::move(parts));
+  return campaign::merge_lease_dir(dir);
+}
+
+/// Every done file in `dir`, by name, with its bytes.
+std::map<std::string, std::string> done_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > 10 && name.compare(name.size() - 10, 10, ".done.json") == 0)
+      files[name] = support::read_file(entry.path().string());
+  }
+  return files;
 }
 
 /// A scratch directory removed on destruction.
@@ -152,14 +178,16 @@ TEST(ShardSpec, ValidatesAndParses) {
 }
 
 // ---------------------------------------------------------------------------
-// shard equivalence: merged == unsharded, byte for byte
+// shard equivalence: fixed-slice shards merged == unsharded, byte for byte
 // ---------------------------------------------------------------------------
 
 TEST(ShardEquivalence, MergeMatchesUnshardedByteForByte) {
   const auto cfg = small_config();
   const std::string direct = canonical(diff::run_campaign(cfg));
   for (int count : {2, 3, 7}) {
-    EXPECT_EQ(canonical(run_sharded(cfg, count)), direct) << count << " shards";
+    TempDir dir("gpudiff_shard_equiv_" + std::to_string(count));
+    EXPECT_EQ(canonical(run_sharded(cfg, count, dir.str())), direct)
+        << count << " shards";
   }
 }
 
@@ -167,23 +195,25 @@ TEST(ShardEquivalence, HoldsForFp32AndHipify) {
   auto cfg = small_config(30);
   cfg.gen.precision = ir::Precision::FP32;
   cfg.hipify_converted = true;
-  EXPECT_EQ(canonical(run_sharded(cfg, 3)), canonical(diff::run_campaign(cfg)));
+  TempDir dir("gpudiff_shard_equiv_fp32");
+  EXPECT_EQ(canonical(run_sharded(cfg, 3, dir.str())),
+            canonical(diff::run_campaign(cfg)));
 }
 
-TEST(ShardEquivalence, MoreShardsThanProgramsStillMerges) {
+TEST(ShardEquivalence, MoreShardsThanLeasesStillMerges) {
+  // 3 programs in 1-program leases carved 7 ways: four shards own no
+  // lease at all.  An empty slice is trivially complete, and the merge
+  // still accounts for every lease.
   const auto cfg = small_config(3);
-  EXPECT_EQ(canonical(run_sharded(cfg, 7)), canonical(diff::run_campaign(cfg)));
-  // The same over a checkpoint directory: empty-range shards must still
-  // write their (trivially complete) result files or the merge cannot
-  // account for them.
-  TempDir dir("gpudiff_empty_range_shards");
+  TempDir dir("gpudiff_empty_slice_shards");
   for (int i = 0; i < 7; ++i) {
-    ShardRunOptions options;
-    options.shard = {i, 7};
-    options.checkpoint_dir = dir.str();
-    campaign::run_shard(cfg, options);
+    const WorkerOutcome outcome =
+        campaign::run_worker(cfg, shard_options(dir.str(), i, 7, 1));
+    EXPECT_TRUE(outcome.campaign_complete) << "shard " << i;
+    const auto [first, last] = ShardSpec{i, 7}.program_range(3);
+    EXPECT_EQ(outcome.leases_completed, static_cast<int>(last - first));
   }
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())),
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
             canonical(diff::run_campaign(cfg)));
 }
 
@@ -207,8 +237,11 @@ TEST(RecordCap, AppliedDeterministicallyAtMergeTime) {
     EXPECT_EQ(direct.records[i].level, uncapped.records[i].level);
   }
   // And sharding does not change it, whichever shard the records fall into.
-  for (int count : {2, 3, 7})
-    EXPECT_EQ(canonical(run_sharded(cfg, count)), canonical(direct)) << count;
+  for (int count : {2, 3, 7}) {
+    TempDir dir("gpudiff_record_cap_" + std::to_string(count));
+    EXPECT_EQ(canonical(run_sharded(cfg, count, dir.str())), canonical(direct))
+        << count;
+  }
 }
 
 TEST(RecordCap, CanonicalOrderIsProgramInputLevel) {
@@ -230,7 +263,7 @@ TEST(RecordCap, CanonicalOrderIsProgramInputLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// checkpointing and resume
+// resume: a re-run skips every lease whose done file exists
 // ---------------------------------------------------------------------------
 
 TEST(Checkpoint, KillAndResumeIsByteIdenticalToUninterrupted) {
@@ -238,105 +271,109 @@ TEST(Checkpoint, KillAndResumeIsByteIdenticalToUninterrupted) {
   const std::string direct = canonical(diff::run_campaign(cfg));
   TempDir dir("gpudiff_ckpt_resume");
 
-  // First run: stop after three 4-program blocks, as a SIGTERM would.
-  int blocks = 0;
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  options.checkpoint_every = 4;
-  options.on_progress = [&](const ShardProgress&) { ++blocks; };
-  options.stop_requested = [&] { return blocks >= 3; };
-  const ShardProgress killed = campaign::run_shard(cfg, options);
-  EXPECT_FALSE(killed.complete());
-  EXPECT_EQ(killed.cursor, 12u);
-  ASSERT_TRUE(std::filesystem::exists(
-      campaign::checkpoint_path(dir.str(), options.shard)));
-
-  // Second run: resume from the checkpoint and finish.
-  ShardRunOptions resume;
-  resume.shard = options.shard;
-  resume.checkpoint_dir = dir.str();
-  resume.checkpoint_every = 4;
-  resume.resume = true;
-  std::uint64_t first_resumed_block = 0;
-  resume.on_progress = [&](const ShardProgress& p) {
-    if (first_resumed_block == 0) first_resumed_block = p.cursor;
+  // First run: stop after three 4-program leases, as a SIGTERM would.
+  std::set<int> first_leases;
+  WorkerOptions options = shard_options(dir.str(), 0, 1);
+  options.on_lease = [&](const WorkerOptions::LeaseEvent& ev) {
+    first_leases.insert(ev.lease);
   };
-  const ShardProgress finished = campaign::run_shard(cfg, resume);
-  EXPECT_TRUE(finished.complete());
-  // The resumed run picked up after the kill point instead of redoing work.
-  EXPECT_EQ(first_resumed_block, 16u);
-  EXPECT_EQ(canonical(campaign::merge_shards({finished})), direct);
+  options.stop_requested = [&] { return first_leases.size() >= 3; };
+  const WorkerOutcome killed = campaign::run_worker(cfg, options);
+  EXPECT_FALSE(killed.campaign_complete);
+  EXPECT_EQ(killed.leases_completed, 3);
+  EXPECT_EQ(done_files(dir.str()).size(), 3u);
+  const auto published = done_files(dir.str());
+
+  // Second run: the same command finishes the campaign and executes only
+  // the leases the first run did not.
+  std::set<int> second_leases;
+  WorkerOptions resume = shard_options(dir.str(), 0, 1);
+  resume.on_lease = [&](const WorkerOptions::LeaseEvent& ev) {
+    EXPECT_EQ(first_leases.count(ev.lease), 0u)
+        << "lease " << ev.lease << " was re-executed";
+    second_leases.insert(ev.lease);
+  };
+  const WorkerOutcome finished = campaign::run_worker(cfg, resume);
+  EXPECT_TRUE(finished.campaign_complete);
+  const int total = campaign::lease_count(cfg.num_programs, 4);
+  EXPECT_EQ(finished.leases_completed, total - 3);
+  EXPECT_EQ(second_leases.size() + first_leases.size(),
+            static_cast<std::size_t>(total));
+  const auto after = done_files(dir.str());
+  for (const auto& [name, bytes] : published)
+    EXPECT_EQ(after.at(name), bytes) << name << " was rewritten";
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), direct);
 }
 
-TEST(Checkpoint, ResumeWithoutCheckpointStartsFresh) {
+TEST(Checkpoint, RerunOverCompleteDirectoryLeavesDoneFilesUntouched) {
+  // Every re-run resumes, so a scheduler restarting a finished command
+  // line must execute nothing and rewrite nothing.
   const auto cfg = small_config(10);
-  TempDir dir("gpudiff_ckpt_cold");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  options.resume = true;
-  const ShardProgress progress = campaign::run_shard(cfg, options);
-  EXPECT_TRUE(progress.complete());
-  EXPECT_EQ(canonical(campaign::merge_shards({progress})),
-            canonical(diff::run_campaign(cfg)));
-}
+  TempDir dir("gpudiff_ckpt_rerun");
+  ASSERT_TRUE(campaign::run_worker(cfg, shard_options(dir.str(), 0, 1))
+                  .campaign_complete);
+  const auto before = done_files(dir.str());
+  std::map<std::string, std::filesystem::file_time_type> mtimes;
+  for (const auto& [name, bytes] : before)
+    mtimes[name] = std::filesystem::last_write_time(dir.path / name);
 
-TEST(Checkpoint, NonResumeRefusesToOverwriteExistingCheckpoint) {
-  // A scheduler restarting the same command line without resume must not
-  // silently restart the shard from program 0 over checkpointed work.
-  const auto cfg = small_config(10);
-  TempDir dir("gpudiff_ckpt_overwrite");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg, options);
-  EXPECT_THROW(campaign::run_shard(cfg, options), std::runtime_error);
-  options.resume = true;
-  EXPECT_NO_THROW(campaign::run_shard(cfg, options));
+  const WorkerOutcome rerun =
+      campaign::run_worker(cfg, shard_options(dir.str(), 0, 1));
+  EXPECT_TRUE(rerun.campaign_complete);
+  EXPECT_EQ(rerun.leases_completed, 0);
+  EXPECT_EQ(done_files(dir.str()), before);
+  for (const auto& [name, mtime] : mtimes)
+    EXPECT_EQ(std::filesystem::last_write_time(dir.path / name), mtime)
+        << name << " was rewritten";
 }
 
 TEST(Checkpoint, RejectsForeignAndVersionedDocuments) {
   using support::Json;
-  EXPECT_THROW(campaign::progress_from_json(Json::parse("{}")),
+  const auto parse = [](const char* text) {
+    return campaign::block_from_json(Json::parse(text), nullptr, nullptr);
+  };
+  EXPECT_THROW(parse("{}"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"format":"x"})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"format":"gpudiff-lease","version":2})"),
                std::runtime_error);
-  EXPECT_THROW(campaign::progress_from_json(Json::parse(R"({"format":"x"})")),
-               std::runtime_error);
-  EXPECT_THROW(campaign::progress_from_json(Json::parse(
-                   R"({"format":"gpudiff-shard","version":2})")),
-               std::runtime_error);
-  EXPECT_THROW(campaign::progress_from_json(Json::parse(
-                   R"({"format":"gpudiff-shard"})")),
+  EXPECT_THROW(parse(R"({"format":"gpudiff-lease"})"), std::runtime_error);
+  // The removed shard checkpoint format is foreign, too.
+  EXPECT_THROW(parse(R"({"format":"gpudiff-shard","version":1})"),
                std::runtime_error);
   EXPECT_THROW(campaign::results_from_json(Json::parse(
-                   R"({"format":"gpudiff-shard","version":1})")),
+                   R"({"format":"gpudiff-lease","version":1})")),
                std::runtime_error);
 }
 
-TEST(Checkpoint, ResumeRejectsMismatchedConfig) {
+TEST(Checkpoint, ShardOfAForeignConfigIsRefused) {
+  // Shards of two different campaigns must never share a directory: the
+  // manifest the first shard published refuses the second.
   auto cfg = small_config(10);
   TempDir dir("gpudiff_ckpt_mismatch");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg, options);
-
-  options.resume = true;
+  campaign::run_worker(cfg, shard_options(dir.str(), 0, 2));
   cfg.seed = 99;
-  EXPECT_THROW(campaign::run_shard(cfg, options), std::runtime_error);
+  EXPECT_THROW(campaign::run_worker(cfg, shard_options(dir.str(), 1, 2)),
+               std::runtime_error);
 }
 
-TEST(Checkpoint, ProgressJsonRoundTrips) {
+TEST(Checkpoint, BlockJsonRoundTrips) {
   const auto cfg = small_config(12);
-  ShardRunOptions options;
-  options.shard = {1, 3};
-  const ShardProgress progress = campaign::run_shard(cfg, options);
-  const support::Json j = campaign::progress_to_json(progress);
-  const ShardProgress reloaded =
-      campaign::progress_from_json(support::Json::parse(j.dump()));
-  EXPECT_EQ(campaign::progress_to_json(reloaded).dump(), j.dump());
-  EXPECT_EQ(reloaded.cursor, progress.cursor);
-  EXPECT_EQ(reloaded.records.size(), progress.records.size());
+  diff::RangeOutcome out = diff::run_campaign_range(cfg, 4, 8);
+  campaign::ResultBlock block;
+  block.config_echo = campaign::config_to_json(cfg);
+  block.begin = 4;
+  block.end = 8;
+  block.per_level = std::move(out.per_level);
+  block.records = std::move(out.records);
+  const support::Json j = campaign::block_to_json(block, 1, 3);
+  int index = -1;
+  int count = -1;
+  const campaign::ResultBlock reloaded = campaign::block_from_json(
+      support::Json::parse(j.dump()), &index, &count);
+  EXPECT_EQ(campaign::block_to_json(reloaded, index, count).dump(), j.dump());
+  EXPECT_EQ(index, 1);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(reloaded.records.size(), block.records.size());
 }
 
 TEST(Checkpoint, ResultsJsonRoundTrips) {
@@ -361,54 +398,17 @@ TEST(Checkpoint, AtomicWriteLeavesNoTempFile) {
 // merge validation
 // ---------------------------------------------------------------------------
 
-TEST(Merge, RejectsIncompleteAndMissingShards) {
+TEST(Merge, RejectsDirectoryWithAMissingShard) {
   const auto cfg = small_config(20);
-  ShardRunOptions options;
-  options.shard = {0, 2};
-  int blocks = 0;
-  options.checkpoint_every = 2;
-  options.on_progress = [&](const ShardProgress&) { ++blocks; };
-  options.stop_requested = [&] { return blocks >= 1; };
-  ShardProgress half = campaign::run_shard(cfg, options);
-  EXPECT_FALSE(half.complete());
-
-  ShardRunOptions full0;
-  full0.shard = {0, 2};
-  ShardRunOptions full1;
-  full1.shard = {1, 2};
-  const ShardProgress shard0 = campaign::run_shard(cfg, full0);
-  const ShardProgress shard1 = campaign::run_shard(cfg, full1);
-
-  EXPECT_THROW(campaign::merge_shards({shard0, half}), std::runtime_error);
-  EXPECT_THROW(campaign::merge_shards({shard0}), std::runtime_error);
-  EXPECT_THROW(campaign::merge_shards({shard0, shard0}), std::runtime_error);
-  EXPECT_THROW(campaign::merge_shards({}), std::runtime_error);
-  EXPECT_NO_THROW(campaign::merge_shards({shard1, shard0}));  // order-insensitive
-}
-
-TEST(Merge, RejectsMixedConfigurations) {
-  auto cfg = small_config(10);
-  ShardRunOptions s0;
-  s0.shard = {0, 2};
-  ShardRunOptions s1;
-  s1.shard = {1, 2};
-  const ShardProgress shard0 = campaign::run_shard(cfg, s0);
-  cfg.seed = 4321;
-  const ShardProgress shard1 = campaign::run_shard(cfg, s1);
-  EXPECT_THROW(campaign::merge_shards({shard0, shard1}), std::runtime_error);
-}
-
-TEST(Merge, LoadsShardsFromCheckpointDirectory) {
-  const auto cfg = small_config(21);
-  TempDir dir("gpudiff_merge_dir");
-  for (int i = 0; i < 3; ++i) {
-    ShardRunOptions options;
-    options.shard = {i, 3};
-    options.checkpoint_dir = dir.str();
-    options.checkpoint_every = 2;
-    campaign::run_shard(cfg, options);
-  }
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())),
+  TempDir dir("gpudiff_merge_missing_shard");
+  ASSERT_TRUE(campaign::run_worker(cfg, shard_options(dir.str(), 0, 2))
+                  .campaign_complete);
+  EXPECT_FALSE(campaign::campaign_complete(dir.str()));
+  EXPECT_THROW(campaign::merge_lease_dir(dir.str()), std::runtime_error);
+  ASSERT_TRUE(campaign::run_worker(cfg, shard_options(dir.str(), 1, 2))
+                  .campaign_complete);
+  EXPECT_TRUE(campaign::campaign_complete(dir.str()));
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
             canonical(diff::run_campaign(cfg)));
 }
 
@@ -448,9 +448,9 @@ diff::CampaignConfig three_platform_config(int programs = 30) {
 }
 
 TEST(PlatformCampaign, ThreeWayCheckpointResumeMergeIsByteIdentical) {
-  // An N=3 campaign through the full orchestration stack: sharded
-  // execution, a kill after three blocks, resume, then merge — byte
-  // identical to the direct three-platform run.
+  // An N=3 campaign through the full orchestration stack: two fixed-slice
+  // shards, shard 0 stopped after three leases and re-run, then merge —
+  // byte identical to the direct three-platform run.
   const auto cfg = three_platform_config();
   const diff::CampaignResults direct = diff::run_campaign(cfg);
   EXPECT_EQ(direct.platforms,
@@ -459,27 +459,17 @@ TEST(PlatformCampaign, ThreeWayCheckpointResumeMergeIsByteIdentical) {
   const std::string want = canonical(direct);
 
   TempDir dir("gpudiff_n3_resume");
-  int blocks = 0;
-  ShardRunOptions options;
-  options.shard = {0, 2};
-  options.checkpoint_dir = dir.str();
-  options.checkpoint_every = 4;
-  options.on_progress = [&](const ShardProgress&) { ++blocks; };
-  options.stop_requested = [&] { return blocks >= 3; };
-  const ShardProgress killed = campaign::run_shard(cfg, options);
-  EXPECT_FALSE(killed.complete());
+  int leases = 0;
+  WorkerOptions options = shard_options(dir.str(), 0, 2);
+  options.on_lease = [&](const WorkerOptions::LeaseEvent&) { ++leases; };
+  options.stop_requested = [&] { return leases >= 3; };
+  EXPECT_FALSE(campaign::run_worker(cfg, options).campaign_complete);
 
-  ShardRunOptions resume = options;
-  resume.resume = true;
-  resume.on_progress = nullptr;
-  resume.stop_requested = nullptr;
-  const ShardProgress shard0 = campaign::run_shard(cfg, resume);
-  EXPECT_TRUE(shard0.complete());
-  ShardRunOptions s1;
-  s1.shard = {1, 2};
-  s1.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg, s1);
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())), want);
+  EXPECT_TRUE(campaign::run_worker(cfg, shard_options(dir.str(), 0, 2))
+                  .campaign_complete);
+  EXPECT_TRUE(campaign::run_worker(cfg, shard_options(dir.str(), 1, 2))
+                  .campaign_complete);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), want);
 }
 
 TEST(PlatformCampaign, ThreeWayWorkerFleetIsByteIdentical) {
@@ -499,24 +489,20 @@ TEST(PlatformCampaign, ThreeWayWorkerFleetIsByteIdentical) {
 }
 
 TEST(PlatformCampaign, FingerprintCoversThePlatformSet) {
-  // Same seed/counts, different platform selection: resume and merge must
-  // both refuse to mix the two, because a block is only a pure function of
+  // Same seed/counts, different platform selection: the manifest must
+  // refuse to mix the two, because a block is only a pure function of
   // (fingerprint, range) when the fingerprint pins the platform set.
   const auto cfg2 = small_config(10);
-  const auto cfg3 = [&] {
-    auto c = three_platform_config(10);
-    c.num_programs = 10;
-    return c;
-  }();
+  const auto cfg3 = three_platform_config(10);
   EXPECT_NE(campaign::config_to_json(cfg2), campaign::config_to_json(cfg3));
 
   TempDir dir("gpudiff_platform_fingerprint");
-  ShardRunOptions options;
-  options.shard = {0, 1};
-  options.checkpoint_dir = dir.str();
-  campaign::run_shard(cfg2, options);
-  options.resume = true;
-  EXPECT_THROW(campaign::run_shard(cfg3, options), std::runtime_error);
+  ASSERT_TRUE(campaign::run_worker(cfg2, shard_options(dir.str(), 0, 1))
+                  .campaign_complete);
+  EXPECT_THROW(campaign::run_worker(cfg3, shard_options(dir.str(), 0, 1)),
+               std::runtime_error);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
+            canonical(diff::run_campaign(cfg2)));
 }
 
 TEST(PlatformCampaign, ThreeWayResultsJsonRoundTrips) {

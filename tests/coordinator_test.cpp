@@ -592,14 +592,24 @@ TEST(Coordinator, MergeNamesCorruptDoneFileAndQuarantineSetsItAside) {
 TEST(Coordinator, ShardMergeSkipsStaleTempLitter) {
   const auto cfg = small_config();
   TempDir dir("gpudiff_coord_tmplitter");
-  campaign::ShardRunOptions sopts;
-  sopts.checkpoint_dir = dir.str();
-  ASSERT_TRUE(campaign::run_shard(cfg, sopts).complete());
-  // Crash litter whose name would match the shard glob but for the ".tmp"
-  // marker: a killed checkpointer's half-written temp.
+  campaign::WorkerOptions wopts;
+  wopts.dir = dir.str();
+  wopts.shard = {0, 1};
+  wopts.lease_size = 8;
+  wopts.worker_id = "shard-0";
+  ASSERT_TRUE(campaign::run_worker(cfg, wopts).campaign_complete);
+  // Crash litter whose names would match a done file but for the ".tmp"
+  // marker: a killed publisher's half-written temps, plus a stray file
+  // from the removed shard checkpoint layout.
+  support::write_file(dir.str() + "/lease-0.done.json.tmp.999", "{\"trunc");
+  support::write_file(dir.str() + "/lease-junk.tmp.done.json", "not json at all");
   support::write_file(dir.str() + "/shard-0-of-1.json.tmp.999", "{\"trunc");
-  support::write_file(dir.str() + "/shard-junk.tmp.json", "not json at all");
-  EXPECT_EQ(canonical(campaign::merge_checkpoint_dir(dir.str())),
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
+            canonical(diff::run_campaign(cfg)));
+  // A re-run over the littered, complete directory executes nothing and
+  // still merges to the same bytes.
+  EXPECT_EQ(campaign::run_worker(cfg, wopts).leases_completed, 0);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())),
             canonical(diff::run_campaign(cfg)));
 }
 

@@ -1,7 +1,6 @@
-// Equivalence and fault-injection tests for the work-stealing shard
-// scheduler (campaign/scheduler.hpp).  The load-bearing property is the
-// same one the fixed-carve tests lock down, under much nastier execution
-// shapes: however a fleet of workers carves, steals, duplicates, dies or
+// Equivalence and fault-injection tests for the lease scheduler
+// (campaign/scheduler.hpp).  The load-bearing property is the same one the
+// fixed-carve tests lock down, under much nastier execution shapes: however a fleet of workers carves, steals, duplicates, dies or
 // is interrupted, the merged CampaignResults must be byte-identical to the
 // single-process diff::run_campaign output.
 //
@@ -26,7 +25,6 @@
 #include "campaign/checkpoint.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
-#include "campaign/shard.hpp"
 #include "diff/campaign.hpp"
 #include "support/json.hpp"
 #include "support/lockfile.hpp"
@@ -610,44 +608,178 @@ TEST(FaultInjection, SigintWorkerFlushesLeaseAndStrandsNothing) {
 
 TEST(FaultInjection, SigintShardModeFlushesCheckpointAndResumes) {
   // The shard-mode half of the SIGINT contract, through the real signal
-  // handler: the in-progress block is checkpointed before exit and a
-  // --resume continuation reproduces the uninterrupted bytes.
+  // handler: a --shard run is a lease worker, so the in-flight lease is
+  // published before exit and re-running the same command finishes the
+  // campaign with the uninterrupted bytes.
   if (campaign_binary() == nullptr)
     GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
   const auto cfg = small_config();
   const std::string direct = canonical(diff::run_campaign(cfg));
   TempDir dir("gpudiff_sched_sigint_shard");
 
-  const pid_t pid = spawn_campaign(
-      {"--shard", "0/1", "--checkpoint-dir", dir.str(), "--checkpoint-every",
-       "1", "--programs", "45", "--inputs", "5", "--seed", "1234"});
+  const std::vector<std::string> args = {
+      "--shard",  "0/1", "--checkpoint-dir", dir.str(), "--lease-size",
+      "1",        "--programs", "45",        "--inputs",  "5",
+      "--seed",   "1234"};
+  const pid_t pid = spawn_campaign(args);
   ASSERT_GT(pid, 0);
-  const std::string ckpt =
-      campaign::checkpoint_path(dir.str(), campaign::ShardSpec{0, 1});
   ASSERT_TRUE(wait_until([&] {
-    try {
-      return campaign::load_checkpoint(ckpt).cursor > 0;
-    } catch (const std::exception&) {
-      return false;  // not written yet
-    }
-  })) << "shard never checkpointed a block";
+    return count_files_with_suffix(dir.str(), ".done.json") > 0;
+  })) << "shard never published a lease";
   ASSERT_EQ(::kill(pid, SIGINT), 0);
   const int status = wait_for_exit(pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_TRUE(WEXITSTATUS(status) == 3 || WEXITSTATUS(status) == 0)
       << "unexpected exit code " << WEXITSTATUS(status);
+  EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0)
+      << "SIGINT stranded a claimed lease";
 
-  // The checkpoint on disk is whole and resumable.
-  const campaign::ShardProgress after = campaign::load_checkpoint(ckpt);
-  EXPECT_GT(after.cursor, 0u);
-  campaign::ShardRunOptions resume;
-  resume.shard = {0, 1};
-  resume.checkpoint_dir = dir.str();
-  resume.checkpoint_every = 1;
-  resume.resume = true;
-  const campaign::ShardProgress finished = campaign::run_shard(cfg, resume);
-  EXPECT_TRUE(finished.complete());
-  EXPECT_EQ(canonical(campaign::merge_shards({finished})), direct);
+  // Re-running the same command resumes: no flag, no staleness wait.
+  const pid_t rerun = spawn_campaign(args);
+  ASSERT_GT(rerun, 0);
+  const int rerun_status = wait_for_exit(rerun);
+  ASSERT_TRUE(WIFEXITED(rerun_status));
+  EXPECT_EQ(WEXITSTATUS(rerun_status), 0);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), direct);
+}
+
+TEST(FaultInjection, SigkilledShardIsStolenWhenRerun) {
+  // After a SIGKILL no handler runs: the shard's in-flight lease keeps a
+  // claim with a dead heartbeat.  Re-running the shard steals it once it
+  // is older than --stale-after (0 here, 60 s by default) and finishes.
+  if (campaign_binary() == nullptr)
+    GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
+  const auto cfg = small_config();
+  const std::string direct = canonical(diff::run_campaign(cfg));
+  TempDir dir("gpudiff_sched_sigkill_shard");
+  const std::vector<std::string> args = {
+      "--shard",    "1/2",  "--checkpoint-dir", dir.str(), "--lease-size",
+      "2",          "--programs", "45",         "--inputs",  "5",
+      "--seed",     "1234", "--heartbeat",      "0.05"};
+  auto victim_args = args;
+  victim_args.insert(victim_args.end(), {"--stale-after", "100000"});
+  const pid_t victim = spawn_campaign(victim_args);
+  ASSERT_GT(victim, 0);
+  ASSERT_TRUE(wait_until([&] {
+    return count_files_with_suffix(dir.str(), ".claim") > 0 ||
+           count_files_with_suffix(dir.str(), ".done.json") > 0;
+  })) << "shard never started claiming leases";
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  const int status = wait_for_exit(victim);
+  ASSERT_TRUE(WIFSIGNALED(status));
+
+  auto rerun_args = args;
+  rerun_args.insert(rerun_args.end(), {"--stale-after", "0"});
+  const pid_t rerun = spawn_campaign(rerun_args);
+  ASSERT_GT(rerun, 0);
+  const int rerun_status = wait_for_exit(rerun);
+  ASSERT_TRUE(WIFEXITED(rerun_status));
+  EXPECT_EQ(WEXITSTATUS(rerun_status), 0);
+  EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0);
+  // Shard 0 never ran: the campaign is incomplete until it does.
+  EXPECT_FALSE(campaign::campaign_complete(dir.str()));
+  WorkerOptions shard0;
+  shard0.dir = dir.str();
+  shard0.shard = {0, 2};
+  shard0.lease_size = 2;
+  shard0.worker_id = "shard-0";
+  ASSERT_TRUE(campaign::run_worker(cfg, shard0).campaign_complete);
+  EXPECT_EQ(canonical(campaign::merge_lease_dir(dir.str())), direct);
+}
+
+// ---------------------------------------------------------------------------
+// command-line refusals: each exits before any campaign work starts
+// ---------------------------------------------------------------------------
+
+/// Run the binary with its stderr captured; returns the exit code, or -1
+/// if it did not exit normally within 10 s (a refusal that never comes
+/// must fail the test, not hang it: a --coordinator worker retries its
+/// connection forever).
+int run_campaign_cli(const std::vector<std::string>& args, std::string* err) {
+  const std::string err_path =
+      (std::filesystem::temp_directory_path() /
+       ("gpudiff_cli_stderr_" + std::to_string(::getpid())))
+          .string();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::freopen(err_path.c_str(), "w", stderr);
+    std::vector<char*> argv;
+    argv.push_back(const_cast<char*>(campaign_binary()));
+    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    std::freopen("/dev/null", "w", stdout);
+    ::execv(campaign_binary(), argv.data());
+    std::_Exit(127);
+  }
+  int status = 0;
+  if (!wait_until([&] { return ::waitpid(pid, &status, WNOHANG) == pid; },
+                  10.0)) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  *err = support::read_file(err_path);
+  std::filesystem::remove(err_path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CampaignCli, MergeNamesTheRemovedShardFormat) {
+  // A directory of shard-<i>-of-<N>.json checkpoints from before the one
+  // lease layout: a documented break, refused with directions.
+  if (campaign_binary() == nullptr)
+    GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
+  TempDir dir("gpudiff_cli_old_shards");
+  std::filesystem::create_directories(dir.path);
+  support::write_file(dir.str() + "/shard-0-of-2.json",
+                      R"({"format":"gpudiff-shard","version":1})");
+  std::string err;
+  EXPECT_EQ(run_campaign_cli({"--merge", "--checkpoint-dir", dir.str()}, &err),
+            2);
+  EXPECT_NE(err.find("gpudiff-shard"), std::string::npos) << err;
+  EXPECT_NE(err.find("re-run the shards"), std::string::npos) << err;
+}
+
+TEST(CampaignCli, CoordinatorModeRefusesWholeCampaignOutputs) {
+  // A --coordinator worker holds no merged results, so it refuses the
+  // outputs that need them before it ever connects (nothing listens on
+  // the address).
+  if (campaign_binary() == nullptr)
+    GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
+  TempDir dir("gpudiff_cli_coordinator_outputs");
+  const std::string report = dir.str() + "/report.json";
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--report", report},
+        std::vector<std::string>{"--tables"},
+        std::vector<std::string>{"--reduce-exemplars"}}) {
+    std::vector<std::string> args = {"--coordinator", "127.0.0.1:1",
+                                     "--programs", "4"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::string err;
+    EXPECT_EQ(run_campaign_cli(args, &err), 1) << extra.front();
+    EXPECT_NE(err.find("need the whole campaign"), std::string::npos) << err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(report));
+}
+
+TEST(CampaignCli, RefusesOutOfRangeIntegersAndFlagValues) {
+  if (campaign_binary() == nullptr)
+    GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
+  const std::vector<std::vector<std::string>> refused = {
+      {"--programs", "4294967298"},            // would narrow to 2
+      {"--programs", "-1"},
+      {"--programs", "99999999999999999999"},  // strtoll saturates
+      {"--inputs", "-3"},
+      {"--inputs", "0"},
+      {"--threads", "-1"},                     // would become 4294967295
+      {"--max-records", "-1"},
+      {"--lease-size", "0"},
+      {"--max-exemplars", "4294967297"},      // would narrow to 1
+      {"--programs", "2", "--tables=no"},      // a flag takes no value
+      {"--programs", "2", "--progress"},       // nothing to report progress on
+  };
+  for (const auto& args : refused) {
+    std::string err;
+    EXPECT_EQ(run_campaign_cli(args, &err), 1) << args.back() << ": " << err;
+  }
 }
 
 }  // namespace

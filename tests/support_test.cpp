@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -350,6 +351,38 @@ TEST(Cli, RejectsBadInput) {
   cli3.add_int("n", 0, "n", 7);
   const char* missing[] = {"prog", "--n"};
   EXPECT_FALSE(cli3.parse(2, missing));
+}
+
+TEST(Cli, RejectsOutOfRangeNumbers) {
+  // strtoll/strtod saturate silently; the parser must not.
+  for (const char* bad : {"9223372036854775808", "-9223372036854775809",
+                          "99999999999999999999"}) {
+    CliParser cli("prog", "test");
+    cli.add_int("n", 0, "n", 7);
+    const char* argv[] = {"prog", "--n", bad};
+    EXPECT_FALSE(cli.parse(3, argv)) << bad;
+  }
+  CliParser edge("prog", "test");
+  edge.add_int("n", 0, "n", 7);
+  const char* max_argv[] = {"prog", "--n", "9223372036854775807"};
+  ASSERT_TRUE(edge.parse(3, max_argv));
+  EXPECT_EQ(edge.get_int("n"), INT64_MAX);
+
+  CliParser dbl("prog", "test");
+  dbl.add_double("x", 0, "x", 1.0);
+  const char* huge[] = {"prog", "--x", "1e999"};
+  EXPECT_FALSE(dbl.parse(3, huge));
+}
+
+TEST(Cli, FlagRejectsInlineValue) {
+  // A value on a flag is refused, never read as the bare flag.
+  for (const char* bad : {"--verbose=no", "--verbose=1", "--verbose="}) {
+    CliParser cli("prog", "test");
+    cli.add_flag("verbose", "noisy");
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(cli.parse(2, argv)) << bad;
+    EXPECT_FALSE(cli.get_flag("verbose")) << bad;
+  }
 }
 
 TEST(Cli, UndeclaredAccessThrows) {

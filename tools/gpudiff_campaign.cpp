@@ -1,24 +1,28 @@
-// gpudiff-campaign: sharded, checkpointed, resumable campaign runner.
+// gpudiff-campaign: distributed, resumable differential-testing campaigns.
 //
-// One binary covers the whole paper-scale workflow (ISSUE: campaign
-// orchestration).  Each shard of a campaign can run on a different machine
-// under any job launcher; checkpoints make a killed shard resumable; the
-// merge stage folds completed shards into the exact results an unsharded
-// run would produce and feeds the Table IV-X reporters.
+// One binary covers the whole paper-scale workflow.  Every distributed
+// run keeps its state in one layout, a lease directory (see
+// campaign/scheduler.hpp): the program range is cut into --lease-size
+// leases, each finished lease is an immutable done file, and re-running
+// any command against the directory skips the leases already done — so a
+// killed process simply resumes, and --merge folds the directory into the
+// exact results an unsharded run would produce.
 //
-//   # one machine, one process
+//   # one machine, one process, nothing on disk but the report
 //   gpudiff-campaign --programs 354 --report results.json
 //
-//   # eight machines (or eight slots of a job array), fixed carve
+//   # eight machines (or eight slots of a job array), fixed carve: shard i
+//   # owns a precomputed slice of the leases
 //   gpudiff-campaign --shard $I/8 --checkpoint-dir ckpt --programs 3540
-//   # ... after a crash on shard 3:
-//   gpudiff-campaign --shard 3/8 --checkpoint-dir ckpt --programs 3540 --resume
+//   # ... after a crash on shard 3, the same command picks up where it
+//   # stopped:
+//   gpudiff-campaign --shard 3/8 --checkpoint-dir ckpt --programs 3540
 //   # when all shards are complete:
 //   gpudiff-campaign --merge --checkpoint-dir ckpt --report results.json --tables
 //
 //   # self-balancing fleet: any number of workers, heterogeneous machines,
-//   # no carve — each claims fine-grained leases from the shared dir, and a
-//   # dead worker's lease is stolen once its heartbeat goes stale
+//   # no carve — each claims leases from the shared dir, and a dead
+//   # worker's lease is stolen once its heartbeat goes stale
 //   for i in 0 1 2; do
 //     gpudiff-campaign --worker lease-dir --programs 3540 &
 //   done; wait
@@ -35,30 +39,32 @@
 //   done; wait
 //   gpudiff-campaign --merge --checkpoint-dir coord-state --report results.json
 //
-// SIGINT/SIGTERM stop the run gracefully: shard mode checkpoints at the
-// next block boundary, worker mode finishes and publishes the in-flight
-// lease and releases every claim it holds — interrupted processes never
-// strand claimed work, and never lose more than one block/lease of it.
+// SIGINT/SIGTERM stop a directory or coordinator run gracefully: the
+// process finishes and publishes the in-flight lease and releases every
+// claim it holds, so it never strands claimed work and never loses more
+// than one lease of it.  A run with no directory keeps the default signal
+// disposition (it has nothing to save).
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
 
 #include "campaign/checkpoint.hpp"
-#include "campaign/merge.hpp"
 #include "campaign/scheduler.hpp"
-#include "campaign/shard.hpp"
 #include "diff/report.hpp"
 #include "opt/platform.hpp"
 #include "reduce/bundle.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -66,12 +72,6 @@ namespace {
 using namespace gpudiff;
 
 std::atomic<bool> g_stop{false};
-
-/// Shared by the option definition and the worker-mode conflict check (a
-/// value equal to the default is indistinguishable from "not passed", so
-/// an explicit --checkpoint-every 64 slips through — the harmless edge of
-/// a presence-blind parser).
-constexpr std::int64_t kDefaultCheckpointEvery = 64;
 
 void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
@@ -174,12 +174,32 @@ void reduce_exemplars_of(const diff::CampaignConfig& config,
               out_dir.c_str());
 }
 
+// Shard checkpoints (files shard-<i>-of-<N>.json, format "gpudiff-shard")
+// were a second on-disk layout that this version no longer reads.  Name it,
+// rather than report a bare missing manifest, so an old directory gets an
+// actionable answer.
+void refuse_removed_shard_format(const std::string& dir) {
+  if (std::filesystem::exists(campaign::LeaseBoard::manifest_path(dir)))
+    return;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (support::starts_with(name, "shard-") &&
+        name.find("-of-") != std::string::npos &&
+        support::ends_with(name, ".json"))
+      throw std::runtime_error(
+          dir + " holds shard checkpoints (shard-<i>-of-<N>.json, format "
+          "gpudiff-shard), a layout this version no longer reads; re-run the "
+          "shards with --shard i/N --checkpoint-dir <new dir> and merge that");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   support::CliParser cli(
       "gpudiff-campaign",
-      "Sharded, checkpointed, resumable differential-testing campaigns");
+      "Distributed, resumable differential-testing campaigns");
   cli.add_int("programs", 'p', "number of random programs in the campaign", 354);
   cli.add_int("inputs", 'i', "inputs per program", 7);
   cli.add_int("seed", 'S', "campaign seed", 42);
@@ -196,19 +216,24 @@ int main(int argc, char** argv) {
   cli.add_flag("hipify", "test the HIPIFY-converted binding (Tables VII/VIII)");
   cli.add_int("threads", 't', "worker threads (0 = hardware concurrency)", 0);
   cli.add_int("max-records", 'm', "cap on retained discrepancy records", 50000);
-  cli.add_string("shard", 's', "this process's shard as i/N (e.g. 2/8)", "0/1");
+  cli.add_string("shard", 's',
+                 "this process's fixed slice of the leases as i/N (e.g. 2/8); "
+                 "needs --checkpoint-dir when N > 1",
+                 "0/1");
   cli.add_string("checkpoint-dir", 'd',
-                 "directory for checkpoints and shard results", "");
-  cli.add_int("checkpoint-every", 'k', "programs per checkpoint block",
-              kDefaultCheckpointEvery);
-  cli.add_flag("resume", "continue from this shard's checkpoint if present");
+                 "lease directory of a --shard run (re-running resumes), or "
+                 "the directory to --merge",
+                 "");
   cli.add_flag("merge",
-               "merge completed shards from --checkpoint-dir instead of running");
+               "merge the completed lease directory --checkpoint-dir instead "
+               "of running");
   cli.add_string("worker", 'w',
                  "run as a self-balancing work-stealing worker against this "
                  "shared lease directory",
                  "");
-  cli.add_int("lease-size", 'L', "programs per lease in --worker mode", 16);
+  cli.add_int("lease-size", 'L',
+              "programs per lease: the unit of resume, stealing and progress",
+              16);
   cli.add_double("heartbeat", 'H', "seconds between lease heartbeats", 5.0);
   cli.add_double("stale-after", 'A',
                  "steal a lease whose heartbeat is older than this many "
@@ -227,7 +252,9 @@ int main(int argc, char** argv) {
   cli.add_flag("quarantine",
                "--merge only: set corrupt lease done files aside as "
                "*.quarantined instead of aborting on the first one");
-  cli.add_flag("progress", "print progress after every checkpoint block");
+  cli.add_flag("progress",
+               "print a line after every finished lease (needs a directory "
+               "or --coordinator)");
   cli.add_string("report", 'r', "write canonical results JSON to this path", "");
   cli.add_flag("report-v2",
                "write the version-2 report superset (embedded config "
@@ -240,13 +267,31 @@ int main(int argc, char** argv) {
                "gpudiff-reduce)");
   cli.add_string("reduce-out", 'O',
                  "bundle directory for --reduce-exemplars (default: "
-                 "<checkpoint/lease dir>/reduced, or ./reduced)",
+                 "<lease dir>/reduced, or ./reduced)",
                  "");
   cli.add_int("max-exemplars", 'E',
               "exemplar records per (pair, class) for --reduce-exemplars "
               "(the store's population rule)",
               5);
   if (!cli.parse(argc, argv)) return 1;
+
+  // Refuse what the narrowing casts below would silently change (e.g.
+  // --programs 4294967298 running 2 programs) before any work starts.
+  const auto in_range = [&](const char* name, std::int64_t lo,
+                            std::int64_t hi) {
+    const std::int64_t v = cli.get_int(name);
+    if (v >= lo && v <= hi) return true;
+    std::fprintf(stderr, "gpudiff-campaign: --%s %lld is outside [%lld, %lld]\n",
+                 name, static_cast<long long>(v), static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+    return false;
+  };
+  if (!in_range("programs", 0, INT_MAX) || !in_range("inputs", 1, INT_MAX) ||
+      !in_range("threads", 0, UINT_MAX) ||
+      !in_range("max-records", 0, INT64_MAX) ||
+      !in_range("lease-size", 1, INT_MAX) ||
+      !in_range("max-exemplars", 0, INT_MAX))
+    return 1;
 
   try {
     if (cli.get_flag("list-platforms")) {
@@ -262,34 +307,30 @@ int main(int argc, char** argv) {
     const bool report_v2 = cli.get_flag("report-v2");
     const bool reduce_exemplars = cli.get_flag("reduce-exemplars");
     const int max_exemplars = static_cast<int>(cli.get_int("max-exemplars"));
+    const std::string reduce_out = cli.get_string("reduce-out");
 
     if (cli.get_flag("merge")) {
       if (checkpoint_dir.empty()) {
         std::fprintf(stderr, "gpudiff-campaign: --merge needs --checkpoint-dir\n");
         return 1;
       }
-      // A lease directory (worker mode) carries a manifest; a fixed-carve
-      // shard directory holds bare shard-i-of-N checkpoints.
-      const bool lease_dir = std::filesystem::exists(
-          campaign::LeaseBoard::manifest_path(checkpoint_dir));
+      refuse_removed_shard_format(checkpoint_dir);
       campaign::LeaseMergeOptions mopts;
       mopts.quarantine = cli.get_flag("quarantine");
-      // The merged results do not carry the fingerprint; the directory
-      // that produced them does.
-      support::Json echo;
-      if (report_v2 || reduce_exemplars)
-        echo = campaign::config_echo_of_dir(checkpoint_dir);
       const diff::CampaignResults results =
-          lease_dir ? campaign::merge_lease_dir(checkpoint_dir, mopts)
-                    : campaign::merge_checkpoint_dir(checkpoint_dir);
+          campaign::merge_lease_dir(checkpoint_dir, mopts);
+      // The merged results do not carry the fingerprint; the manifest of
+      // the directory that produced them does.
+      const support::Json echo =
+          campaign::LeaseBoard::load_manifest(checkpoint_dir).at("config");
       emit_results(results, report_path, tables, report_v2 ? &echo : nullptr);
       if (reduce_exemplars) {
         // The reducer re-derives programs and inputs, so it needs the full
         // campaign definition — the directory's config fingerprint is the
         // only trustworthy source in merge mode.
-        std::string out = cli.get_string("reduce-out");
-        if (out.empty()) out = checkpoint_dir + "/reduced";
-        reduce_exemplars_of(campaign::config_from_json(echo), results, out,
+        reduce_exemplars_of(campaign::config_from_json(echo), results,
+                            reduce_out.empty() ? checkpoint_dir + "/reduced"
+                                               : reduce_out,
                             max_exemplars);
       }
       return 0;
@@ -310,11 +351,38 @@ int main(int argc, char** argv) {
                    "protocol; pass one or the other\n");
       return 1;
     }
-    if (shard.count > 1 && checkpoint_dir.empty() && worker_dir.empty() &&
-        coordinator.empty()) {
+    if ((!worker_dir.empty() || !coordinator.empty()) &&
+        (shard != campaign::ShardSpec{} || !checkpoint_dir.empty())) {
+      std::fprintf(stderr,
+                   "gpudiff-campaign: --worker/--coordinator claim from every "
+                   "lease of their own board; --shard with --checkpoint-dir "
+                   "runs a fixed slice; pass one or the other\n");
+      return 1;
+    }
+    if (shard.count > 1 && checkpoint_dir.empty()) {
       std::fprintf(stderr,
                    "gpudiff-campaign: a multi-shard run needs --checkpoint-dir "
-                   "(the shard state is the merge input)\n");
+                   "(the lease directory is the merge input)\n");
+      return 1;
+    }
+    // Refuse rather than silently drop: a process that holds only part of
+    // the campaign's results cannot report on the whole.
+    if ((!coordinator.empty() || shard.count > 1) &&
+        (!report_path.empty() || tables || reduce_exemplars)) {
+      std::fprintf(stderr,
+                   "gpudiff-campaign: --report/--tables/--reduce-exemplars "
+                   "need the whole campaign, and %s holds only part of it; "
+                   "run --merge --checkpoint-dir <lease dir> once the "
+                   "campaign is complete\n",
+                   coordinator.empty() ? "one shard" : "a --coordinator worker");
+      return 1;
+    }
+    const bool use_leases =
+        !checkpoint_dir.empty() || !worker_dir.empty() || !coordinator.empty();
+    if (!use_leases && cli.get_flag("progress")) {
+      std::fprintf(stderr,
+                   "gpudiff-campaign: --progress reports finished leases; it "
+                   "needs --checkpoint-dir, --worker or --coordinator\n");
       return 1;
     }
 
@@ -327,7 +395,7 @@ int main(int argc, char** argv) {
     config.max_records = static_cast<std::size_t>(cli.get_int("max-records"));
     // Strict platform parsing: an unknown or duplicate name aborts with a
     // message naming the entry and the registry (exit 1, not a stack
-    // trace), before any directory or checkpoint is touched.
+    // trace), before any directory is touched.
     try {
       config.platforms = opt::parse_platform_list(cli.get_string("platforms"));
     } catch (const std::exception& e) {
@@ -343,158 +411,90 @@ int main(int argc, char** argv) {
                    precision.c_str());
       return 1;
     }
+    const support::Json echo = campaign::config_to_json(config);
 
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-
-    if (!worker_dir.empty() || !coordinator.empty()) {
-      if (cli.get_string("shard") != "0/1") {
-        std::fprintf(stderr,
-                     "gpudiff-campaign: --worker replaces the fixed --shard "
-                     "carve; pass one or the other\n");
-        return 1;
-      }
-      if (!checkpoint_dir.empty() || cli.get_flag("resume") ||
-          cli.get_int("checkpoint-every") != kDefaultCheckpointEvery) {
-        // Refuse rather than silently drop: worker mode has no mid-lease
-        // checkpoint/resume (the lease directory itself is the durable
-        // state, an interrupted lease simply re-executes, and durability
-        // granularity is --lease-size).
-        std::fprintf(stderr,
-                     "gpudiff-campaign: --checkpoint-dir/--checkpoint-every/"
-                     "--resume are shard-mode flags; --worker keeps all its "
-                     "state in the lease directory (granularity: "
-                     "--lease-size)\n");
-        return 1;
-      }
-      campaign::WorkerOptions wopts;
-      wopts.dir = worker_dir;
-      wopts.coordinator = coordinator;
-      wopts.journal_dir = cli.get_string("journal-dir");
-      wopts.lease_size = static_cast<int>(cli.get_int("lease-size"));
-      wopts.heartbeat_seconds = cli.get_double("heartbeat");
-      wopts.stale_after_seconds = cli.get_double("stale-after");
-      wopts.worker_id = cli.get_string("worker-id");
-      wopts.stop_requested = [] {
-        return g_stop.load(std::memory_order_relaxed);
-      };
-      if (cli.get_flag("progress")) {
-        wopts.on_lease = [](const campaign::WorkerOptions::LeaseEvent& ev) {
-          std::printf("[worker] lease %d done (programs [%llu, %llu))%s\n",
-                      ev.lease, static_cast<unsigned long long>(ev.begin),
-                      static_cast<unsigned long long>(ev.end),
-                      ev.stolen ? " [reclaimed from stale claim]" : "");
-          std::fflush(stdout);
-        };
-      }
-      const campaign::WorkerOutcome outcome =
-          campaign::run_worker(config, wopts);
-      std::printf("worker finished: %d leases (%llu programs), %d reclaimed "
-                  "from stale claims\n",
-                  outcome.leases_completed,
-                  static_cast<unsigned long long>(outcome.programs_executed),
-                  outcome.leases_stolen);
-      if (!outcome.campaign_complete) {
-        // Interrupted: the in-flight lease was still published and every
-        // claim released, so any worker (re)started against the directory
-        // picks up exactly where the fleet left off.
-        std::printf("campaign incomplete; rerun workers against %s to "
-                    "continue\n",
-                    worker_dir.empty() ? coordinator.c_str()
-                                       : worker_dir.c_str());
-        return 3;
-      }
-      if (worker_dir.empty()) {
-        // TCP mode: the done blocks live in the coordinator's state
-        // directory (same layout as a lease directory) — merge there.
-        std::printf("campaign complete; merge on the coordinator host with "
-                    "--merge --checkpoint-dir <coordinator state dir>\n");
-        if (!report_path.empty() || tables)
-          std::fprintf(stderr,
-                       "gpudiff-campaign: --report/--tables need the merged "
-                       "results; run --merge against the coordinator's state "
-                       "directory\n");
-      } else if (!report_path.empty() || tables || reduce_exemplars) {
-        // Deterministic outputs make this safe in a fleet: every worker
-        // that gets here writes byte-identical results (each through its
-        // own temp file) — and with --reduce-exemplars, byte-identical
-        // bundles (atomic per-file writes).
-        const support::Json echo = campaign::config_to_json(config);
-        const diff::CampaignResults results =
-            campaign::merge_lease_dir(worker_dir);
-        emit_results(results, report_path, tables,
-                     report_v2 ? &echo : nullptr,
-                     ".tmp." + std::to_string(::getpid()));
-        if (reduce_exemplars) {
-          std::string out = cli.get_string("reduce-out");
-          if (out.empty()) out = worker_dir + "/reduced";
-          reduce_exemplars_of(config, results, out, max_exemplars);
-        }
-      } else {
-        std::printf("campaign complete; merge with --merge --checkpoint-dir "
-                    "%s\n",
-                    worker_dir.c_str());
-      }
+    if (!use_leases) {
+      // Nothing on disk to resume from, so nothing to save on SIGINT
+      // either: the default disposition stands.
+      const diff::CampaignResults results = diff::run_campaign(config);
+      emit_results(results, report_path, tables, report_v2 ? &echo : nullptr);
+      if (reduce_exemplars)
+        reduce_exemplars_of(config, results,
+                            reduce_out.empty() ? "reduced" : reduce_out,
+                            max_exemplars);
       return 0;
     }
 
-    campaign::ShardRunOptions options;
-    options.shard = shard;
-    options.checkpoint_dir = checkpoint_dir;
-    options.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every"));
-    options.resume = cli.get_flag("resume");
-    options.stop_requested = [] {
+    std::signal(SIGINT, handle_signal);
+    std::signal(SIGTERM, handle_signal);
+    campaign::WorkerOptions wopts;
+    wopts.dir = worker_dir.empty() ? checkpoint_dir : worker_dir;
+    wopts.coordinator = coordinator;
+    wopts.journal_dir = cli.get_string("journal-dir");
+    wopts.lease_size = static_cast<int>(cli.get_int("lease-size"));
+    wopts.heartbeat_seconds = cli.get_double("heartbeat");
+    wopts.stale_after_seconds = cli.get_double("stale-after");
+    wopts.worker_id = cli.get_string("worker-id");
+    wopts.shard = shard;
+    wopts.stop_requested = [] {
       return g_stop.load(std::memory_order_relaxed);
     };
     if (cli.get_flag("progress")) {
-      options.on_progress = [](const campaign::ShardProgress& p) {
-        std::uint64_t discrepancies = 0;
-        for (const auto& stats : p.per_level)
-          discrepancies += stats.discrepancy_total();
-        std::printf("[shard %s] programs %llu/%llu, discrepancies %llu\n",
-                    campaign::to_string(p.shard).c_str(),
-                    static_cast<unsigned long long>(p.cursor - p.begin),
-                    static_cast<unsigned long long>(p.end - p.begin),
-                    static_cast<unsigned long long>(discrepancies));
+      wopts.on_lease = [](const campaign::WorkerOptions::LeaseEvent& ev) {
+        std::printf("[worker] lease %d done (programs [%llu, %llu))%s\n",
+                    ev.lease, static_cast<unsigned long long>(ev.begin),
+                    static_cast<unsigned long long>(ev.end),
+                    ev.stolen ? " [reclaimed from stale claim]" : "");
         std::fflush(stdout);
       };
     }
-
-    const campaign::ShardProgress progress = campaign::run_shard(config, options);
-    if (!progress.complete()) {
-      if (checkpoint_dir.empty()) {
-        std::printf("shard %s interrupted at program %llu/%llu; no "
-                    "--checkpoint-dir was given, so the completed work is "
-                    "discarded\n",
-                    campaign::to_string(shard).c_str(),
-                    static_cast<unsigned long long>(progress.cursor - progress.begin),
-                    static_cast<unsigned long long>(progress.end - progress.begin));
-      } else {
-        std::printf("shard %s interrupted; checkpointed through program "
-                    "%llu/%llu, rerun with --resume to continue\n",
-                    campaign::to_string(shard).c_str(),
-                    static_cast<unsigned long long>(progress.cursor - progress.begin),
-                    static_cast<unsigned long long>(progress.end - progress.begin));
-      }
+    const campaign::WorkerOutcome outcome = campaign::run_worker(config, wopts);
+    std::printf("worker finished: %d leases (%llu programs), %d reclaimed "
+                "from stale claims\n",
+                outcome.leases_completed,
+                static_cast<unsigned long long>(outcome.programs_executed),
+                outcome.leases_stolen);
+    const std::string& where = coordinator.empty() ? wopts.dir : coordinator;
+    if (!outcome.campaign_complete) {
+      // Interrupted: the in-flight lease was still published and every
+      // claim released, so re-running the command (or any worker) against
+      // the same directory picks up exactly where it left off.
+      std::printf("campaign incomplete; rerun against %s to continue\n",
+                  where.c_str());
       return 3;
     }
-    if (shard.count == 1) {
-      const support::Json echo = campaign::config_to_json(config);
-      const diff::CampaignResults results = campaign::merge_shards({progress});
-      emit_results(results, report_path, tables, report_v2 ? &echo : nullptr);
-      if (reduce_exemplars) {
-        std::string out = cli.get_string("reduce-out");
-        if (out.empty())
-          out = checkpoint_dir.empty() ? "reduced" : checkpoint_dir + "/reduced";
-        reduce_exemplars_of(config, results, out, max_exemplars);
-      }
-    } else {
-      std::printf("shard %s complete (%llu programs); merge all shards with "
-                  "--merge --checkpoint-dir %s\n",
-                  campaign::to_string(shard).c_str(),
-                  static_cast<unsigned long long>(progress.end - progress.begin),
-                  checkpoint_dir.c_str());
+    if (!coordinator.empty()) {
+      // TCP mode: the done blocks live in the coordinator's state
+      // directory (same layout as a lease directory) — merge there.
+      std::printf("campaign complete; merge on the coordinator host with "
+                  "--merge --checkpoint-dir <coordinator state dir>\n");
+      return 0;
     }
+    if (shard.count > 1) {
+      std::printf("shard %s complete; merge all shards with --merge "
+                  "--checkpoint-dir %s\n",
+                  campaign::to_string(shard).c_str(), where.c_str());
+      return 0;
+    }
+    if (!worker_dir.empty() && report_path.empty() && !tables &&
+        !reduce_exemplars) {
+      std::printf("campaign complete; merge with --merge --checkpoint-dir "
+                  "%s\n",
+                  where.c_str());
+      return 0;
+    }
+    // This process covers the whole campaign.  Deterministic outputs make
+    // emitting safe in a fleet: every worker that gets here writes
+    // byte-identical results (each through its own temp file) — and with
+    // --reduce-exemplars, byte-identical bundles (atomic per-file writes).
+    const diff::CampaignResults results = campaign::merge_lease_dir(wopts.dir);
+    emit_results(results, report_path, tables, report_v2 ? &echo : nullptr,
+                 ".tmp." + std::to_string(::getpid()));
+    if (reduce_exemplars)
+      reduce_exemplars_of(config, results,
+                          reduce_out.empty() ? wopts.dir + "/reduced"
+                                             : reduce_out,
+                          max_exemplars);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gpudiff-campaign: %s\n", e.what());
