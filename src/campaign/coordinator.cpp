@@ -1,7 +1,7 @@
 #include "campaign/coordinator.hpp"
 
-#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -11,24 +11,16 @@
 
 namespace gpudiff::campaign {
 
-namespace {
-
-std::int64_t seq_of(const support::Json& request) {
-  return request.get_or("seq", support::Json(std::int64_t{0})).as_int();
-}
-
-}  // namespace
-
 Coordinator::Coordinator(CoordinatorOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      server_(options_.bind_host, options_.port,
+              std::bind_front(&Coordinator::handle_hello, this),
+              std::bind_front(&Coordinator::handle, this)) {
   if (options_.dir.empty())
     throw std::invalid_argument("Coordinator: empty state directory");
   std::filesystem::create_directories(options_.dir);
   recover();
-  listener_.listen(options_.bind_host, options_.port);
 }
-
-Coordinator::~Coordinator() { stop(); }
 
 std::string Coordinator::claim_path(int lease) const {
   return LeaseBoard::claim_path(options_.dir, lease);
@@ -74,84 +66,14 @@ void Coordinator::persist_claim(int lease, const std::string& worker) {
   support::write_file_atomic(claim_path(lease), claim.dump(), ".tmp");
 }
 
-void Coordinator::start() {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  threads_.emplace_back([this] { accept_loop(); });
-}
-
-void Coordinator::stop() {
-  if (stop_.exchange(true)) return;
-  // Join before closing the listener: the accept loop polls stop_ at the
-  // I/O timeout, so it exits on its own, and the fd is only closed once
-  // no thread can still be polling it.  Any serve thread spawned before
-  // the flag flipped landed in threads_ before the swap (the accept loop
-  // re-checks stop_ under threads_mu_ before emplacing).
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listener_.close();
-}
-
 int Coordinator::done_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(done_.size());
 }
 
-void Coordinator::accept_loop() {
-  while (!stop_.load()) {
-    net::Socket socket = listener_.accept(options_.io_timeout_seconds);
-    if (!socket.valid()) continue;  // timeout, or listener closed by stop()
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    if (stop_.load()) return;
-    threads_.emplace_back(
-        [this, s = std::move(socket)]() mutable { serve(std::move(s)); });
-  }
-}
-
-void Coordinator::serve(net::Socket socket) {
-  std::string worker;  // empty until a hello succeeds
-  while (!stop_.load()) {
-    support::Json request;
-    std::string malformed;
-    const net::IoStatus status = net::recv_message(
-        socket, &request, options_.io_timeout_seconds, &malformed);
-    if (status == net::IoStatus::Timeout) continue;  // poll stop_
-    if (status != net::IoStatus::Ok) {  // closed or desynchronized
-      net::refuse_malformed(socket, malformed, options_.io_timeout_seconds);
-      return;
-    }
-    support::Json response;
-    try {
-      if (request.get_or("op", support::Json("")).as_string() == "hello")
-        response = handle_hello(request, &worker);
-      else if (worker.empty())
-        response = net::error_response(
-            seq_of(request), "request before hello", /*fatal=*/true);
-      else
-        response = handle(request, worker);
-    } catch (const std::exception& e) {
-      // Shape errors are caught per-op and reported fatal; anything that
-      // escapes to here is a server-side condition (disk I/O) the client
-      // may legitimately retry.
-      response = net::error_response(seq_of(request), e.what(),
-                                     /*fatal=*/false);
-    }
-    if (net::send_message(socket, response, options_.io_timeout_seconds) !=
-        net::IoStatus::Ok)
-      return;
-    if (!response.get_or("ok", support::Json(false)).as_bool() &&
-        response.get_or("fatal", support::Json(false)).as_bool())
-      return;  // refused connections are closed, not left to flounder
-  }
-}
-
 support::Json Coordinator::handle_hello(const support::Json& request,
                                         std::string* worker) {
-  const std::int64_t seq = seq_of(request);
+  const std::int64_t seq = net::seq_of(request);
   const auto refuse = [&](const std::string& error) {
     return net::error_response(seq, error, /*fatal=*/true);
   };
@@ -200,9 +122,11 @@ support::Json Coordinator::handle_hello(const support::Json& request,
 
 support::Json Coordinator::handle(const support::Json& request,
                                   const std::string& worker) {
-  const std::int64_t seq = seq_of(request);
+  const std::int64_t seq = net::seq_of(request);
   const std::string op =
       request.get_or("op", support::Json("")).as_string();
+  // Shape errors throw std::invalid_argument, which net::Server answers
+  // fatally: the client is wrong and retrying cannot help.
   const auto lease_of = [&]() -> int {
     if (!request.contains("lease") || !request.at("lease").is_number())
       throw std::invalid_argument("request carries no lease index");
@@ -213,115 +137,110 @@ support::Json Coordinator::handle(const support::Json& request,
   };
 
   std::lock_guard<std::mutex> lock(mu_);
-  try {
-    if (op == "claim") {
-      const int k = lease_of();
-      support::Json resp = net::ok_response(seq);
-      const auto it = claims_.find(k);
-      if (it == claims_.end()) {
-        persist_claim(k, worker);
-        claims_[k] = Claim{worker, std::chrono::steady_clock::now()};
-        resp["acquired"] = true;
-      } else if (it->second.worker == worker) {
-        // Idempotent for the claim's own worker: a retried claim whose
-        // first response was lost in flight must not read as "lost the
-        // race" — the worker would skip a lease it actually owns.
-        it->second.beat = std::chrono::steady_clock::now();
-        resp["acquired"] = true;
-      } else {
-        resp["acquired"] = false;
-      }
-      return resp;
+  if (op == "claim") {
+    const int k = lease_of();
+    support::Json resp = net::ok_response(seq);
+    const auto it = claims_.find(k);
+    if (it == claims_.end()) {
+      persist_claim(k, worker);
+      claims_[k] = Claim{worker, std::chrono::steady_clock::now()};
+      resp["acquired"] = true;
+    } else if (it->second.worker == worker) {
+      // Idempotent for the claim's own worker: a retried claim whose
+      // first response was lost in flight must not read as "lost the
+      // race" — the worker would skip a lease it actually owns.
+      it->second.beat = std::chrono::steady_clock::now();
+      resp["acquired"] = true;
+    } else {
+      resp["acquired"] = false;
     }
-    if (op == "age") {
-      const int k = lease_of();
-      support::Json resp = net::ok_response(seq);
-      const auto it = claims_.find(k);
-      resp["age"] =
-          it == claims_.end()
-              ? -1.0
-              : std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - it->second.beat)
-                    .count();
-      return resp;
+    return resp;
+  }
+  if (op == "age") {
+    const int k = lease_of();
+    support::Json resp = net::ok_response(seq);
+    const auto it = claims_.find(k);
+    resp["age"] =
+        it == claims_.end()
+            ? -1.0
+            : std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - it->second.beat)
+                  .count();
+    return resp;
+  }
+  if (op == "steal") {
+    const int k = lease_of();
+    support::Json resp = net::ok_response(seq);
+    const auto it = claims_.find(k);
+    if (it == claims_.end()) {
+      resp["stolen"] = false;  // nothing to steal — lost the race
+    } else {
+      persist_claim(k, worker);
+      it->second = Claim{worker, std::chrono::steady_clock::now()};
+      resp["stolen"] = true;
     }
-    if (op == "steal") {
-      const int k = lease_of();
-      support::Json resp = net::ok_response(seq);
-      const auto it = claims_.find(k);
-      if (it == claims_.end()) {
-        resp["stolen"] = false;  // nothing to steal — lost the race
-      } else {
-        persist_claim(k, worker);
-        it->second = Claim{worker, std::chrono::steady_clock::now()};
-        resp["stolen"] = true;
-      }
-      return resp;
+    return resp;
+  }
+  if (op == "reap") {
+    const int k = lease_of();
+    support::Json resp = net::ok_response(seq);
+    const bool existed = claims_.erase(k) > 0;
+    if (existed) support::remove_file(claim_path(k));
+    resp["reaped"] = existed;
+    return resp;
+  }
+  if (op == "heartbeat") {
+    const int k = lease_of();
+    support::Json resp = net::ok_response(seq);
+    const auto it = claims_.find(k);
+    const bool beating =
+        it != claims_.end() && it->second.worker == worker;
+    if (beating) it->second.beat = std::chrono::steady_clock::now();
+    resp["beating"] = beating;
+    return resp;
+  }
+  if (op == "release") {
+    const int k = lease_of();
+    const auto it = claims_.find(k);
+    if (it != claims_.end() && it->second.worker == worker) {
+      claims_.erase(it);
+      support::remove_file(claim_path(k));
     }
-    if (op == "reap") {
-      const int k = lease_of();
-      support::Json resp = net::ok_response(seq);
-      const bool existed = claims_.erase(k) > 0;
-      if (existed) support::remove_file(claim_path(k));
-      resp["reaped"] = existed;
-      return resp;
+    return net::ok_response(seq);
+  }
+  if (op == "done") {
+    const int k = lease_of();
+    support::Json resp = net::ok_response(seq);
+    resp["done"] = done_.count(k) > 0;
+    return resp;
+  }
+  if (op == "list_done") {
+    support::Json resp = net::ok_response(seq);
+    support::Json done = support::Json::array();
+    for (const int k : done_) done.push_back(k);
+    resp["done"] = std::move(done);
+    return resp;
+  }
+  if (op == "publish") {
+    if (!request.contains("block") || !request.at("block").is_object())
+      throw std::invalid_argument("publish carries no block");
+    const support::Json& block = request.at("block");
+    const int k =
+        static_cast<int>(block.at("lease").at("index").as_int());
+    const int count =
+        static_cast<int>(block.at("lease").at("count").as_int());
+    if (k < 0 || k >= lease_count_ || count != lease_count_)
+      throw std::invalid_argument(
+          "published block does not belong to this lease partition");
+    // Done files are immutable: a duplicate publish (a paused owner and
+    // its stealer both finishing, or a retried request whose first
+    // response was lost) is acknowledged without rewriting — by the
+    // determinism invariant the duplicate carries identical bytes.
+    if (done_.count(k) == 0) {
+      support::write_file_atomic(done_path(k), block.dump(1), ".tmp");
+      done_.insert(k);
     }
-    if (op == "heartbeat") {
-      const int k = lease_of();
-      support::Json resp = net::ok_response(seq);
-      const auto it = claims_.find(k);
-      const bool beating =
-          it != claims_.end() && it->second.worker == worker;
-      if (beating) it->second.beat = std::chrono::steady_clock::now();
-      resp["beating"] = beating;
-      return resp;
-    }
-    if (op == "release") {
-      const int k = lease_of();
-      const auto it = claims_.find(k);
-      if (it != claims_.end() && it->second.worker == worker) {
-        claims_.erase(it);
-        support::remove_file(claim_path(k));
-      }
-      return net::ok_response(seq);
-    }
-    if (op == "done") {
-      const int k = lease_of();
-      support::Json resp = net::ok_response(seq);
-      resp["done"] = done_.count(k) > 0;
-      return resp;
-    }
-    if (op == "list_done") {
-      support::Json resp = net::ok_response(seq);
-      support::Json done = support::Json::array();
-      for (const int k : done_) done.push_back(k);
-      resp["done"] = std::move(done);
-      return resp;
-    }
-    if (op == "publish") {
-      if (!request.contains("block") || !request.at("block").is_object())
-        throw std::invalid_argument("publish carries no block");
-      const support::Json& block = request.at("block");
-      const int k =
-          static_cast<int>(block.at("lease").at("index").as_int());
-      const int count =
-          static_cast<int>(block.at("lease").at("count").as_int());
-      if (k < 0 || k >= lease_count_ || count != lease_count_)
-        throw std::invalid_argument(
-            "published block does not belong to this lease partition");
-      // Done files are immutable: a duplicate publish (a paused owner and
-      // its stealer both finishing, or a retried request whose first
-      // response was lost) is acknowledged without rewriting — by the
-      // determinism invariant the duplicate carries identical bytes.
-      if (done_.count(k) == 0) {
-        support::write_file_atomic(done_path(k), block.dump(1), ".tmp");
-        done_.insert(k);
-      }
-      return net::ok_response(seq);
-    }
-  } catch (const std::invalid_argument& e) {
-    // Malformed requests mean the client is wrong; retrying cannot help.
-    return net::error_response(seq, e.what(), /*fatal=*/true);
+    return net::ok_response(seq);
   }
   return net::error_response(seq, "unknown op \"" + op + "\"",
                              /*fatal=*/true);

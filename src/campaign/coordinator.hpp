@@ -19,23 +19,23 @@
 // window and are stolen — exactly the recovery the protocol already
 // defines, with no heartbeat-persistence write amplification.
 //
-// Concurrency: one accept loop plus one thread per connection, every
-// state transition under a single mutex (the state machine is tiny; the
-// expensive work — executing leases — happens on the workers).  Each
-// connection must open with a versioned hello carrying the campaign
-// fingerprint; mismatches are refused fatally at connect.
+// Concurrency: the connections are served by net::Server (net/server.hpp)
+// — one thread per connection, each joined within about one poll interval
+// of its connection closing, so a long-lived coordinator keeps flat
+// memory however many workers come and go.  Every state transition runs
+// under a single mutex (the state machine is tiny; the expensive work —
+// executing leases — happens on the workers).  Each connection must open
+// with a versioned hello carrying the campaign fingerprint and a worker
+// id, which becomes the connection's identity; mismatches are refused
+// fatally at connect.
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "net/socket.hpp"
+#include "net/server.hpp"
 #include "support/json.hpp"
 
 namespace gpudiff::campaign {
@@ -47,9 +47,6 @@ struct CoordinatorOptions {
   std::string bind_host = "127.0.0.1";
   /// 0 binds an ephemeral port; see Coordinator::port().
   int port = 0;
-  /// Per-connection I/O timeout.  Reads poll at this granularity, so it
-  /// also bounds how long stop() waits for connection threads.
-  double io_timeout_seconds = 0.25;
 };
 
 class Coordinator {
@@ -59,20 +56,17 @@ class Coordinator {
   /// heartbeat).  Throws std::runtime_error if the port cannot be bound
   /// or the recovered state is unreadable.
   explicit Coordinator(CoordinatorOptions options);
-  ~Coordinator();
 
   /// The bound port (resolves ephemeral port 0).
-  int port() const noexcept { return listener_.port(); }
+  int port() const noexcept { return server_.port(); }
   const std::string& dir() const noexcept { return options_.dir; }
 
   /// Serve on a background thread; returns immediately.
-  void start();
-  /// Stop accepting, join every thread (accept loop + connections —
-  /// each polls stop at the I/O timeout, so this returns within about
-  /// one io_timeout_seconds), then close the listener.  Joining before
-  /// closing keeps the close and the accept loop's poll off the fd at
-  /// the same time.  Idempotent.
-  void stop();
+  void start() { server_.start(); }
+  /// Stop accepting, join every connection thread, then close the
+  /// listener; returns within about net::Server::kIoTimeoutSeconds.
+  /// Idempotent.
+  void stop() { server_.stop(); }
 
   /// Leases with a published done block (for status reporting).
   int done_count() const;
@@ -84,8 +78,6 @@ class Coordinator {
   };
 
   void recover();
-  void accept_loop();
-  void serve(net::Socket socket);
   /// One request against the board, under the state mutex.  `worker` is
   /// the connection's hello-established identity.
   support::Json handle(const support::Json& request,
@@ -98,10 +90,8 @@ class Coordinator {
   void persist_claim(int lease, const std::string& worker);
 
   CoordinatorOptions options_;
-  net::Listener listener_;
-  std::atomic<bool> stop_{false};
 
-  mutable std::mutex mu_;  ///< guards everything below
+  mutable std::mutex mu_;  ///< guards the board state below
   bool have_manifest_ = false;
   support::Json config_echo_;
   int lease_size_ = 0;
@@ -109,8 +99,8 @@ class Coordinator {
   std::set<int> done_;
   std::map<int, Claim> claims_;
 
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;  ///< accept loop + connections
+  /// Last, so its threads are joined before the state they use dies.
+  net::Server server_;
 };
 
 }  // namespace gpudiff::campaign

@@ -53,6 +53,12 @@ IoStatus request_response(Socket& socket, support::Json request,
   }
 }
 
+std::int64_t seq_of(const support::Json& request) {
+  const support::Json none;
+  const support::Json& seq = request.get_or("seq", none);
+  return seq.is_number() ? seq.as_int() : 0;
+}
+
 support::Json ok_response(std::int64_t seq) {
   support::Json j = support::Json::object();
   j["ok"] = true;

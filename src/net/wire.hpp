@@ -1,5 +1,7 @@
 #pragma once
-// Line-framed JSON wire protocol for the lease coordinator.
+// Line-framed JSON wire protocol of both daemons: the lease coordinator
+// (the ops below) and gpudiff-serve (store/serve.hpp), each served by the
+// one connection loop of net/server.hpp.
 //
 // Every message is one compact JSON object terminated by '\n' — trivially
 // observable with netcat, trivially relayed (and corrupted on purpose) by
@@ -72,6 +74,10 @@ void refuse_malformed(Socket& socket, const std::string& malformed,
 IoStatus request_response(Socket& socket, support::Json request,
                           std::int64_t seq, support::Json* response,
                           double timeout_seconds);
+
+/// A request's "seq", or 0 when it carries none that is a number — the
+/// same seq a refused malformed line is answered with.
+std::int64_t seq_of(const support::Json& request);
 
 /// {"ok":true,"seq":seq} — extend with op-specific fields.
 support::Json ok_response(std::int64_t seq);

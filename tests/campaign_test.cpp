@@ -131,9 +131,10 @@ TEST(ShardSpec, RandomizedPartitionsAreDisjointCoveringAndBalanced) {
       expected_begin = end;
     }
     ASSERT_EQ(expected_begin, static_cast<std::uint64_t>(n)) << "coverage";
-    if (count > 0)
+    if (count > 0) {
       ASSERT_LE(max_size - min_size, 1u)
           << "n=" << n << " count=" << count << " is unbalanced";
+    }
   };
 
   for (int trial = 0; trial < 300; ++trial) {

@@ -38,6 +38,7 @@
 #include "support/rng.hpp"
 
 #include "fault_proxy.hpp"
+#include "footprint.hpp"
 
 namespace {
 
@@ -138,6 +139,18 @@ int count_files_with_suffix(const std::string& dir, const std::string& suffix) {
       ++n;
   }
   return n;
+}
+
+/// A well-formed hello from a short-lived client.
+support::Json soak_hello() {
+  support::Json hello = support::Json::object();
+  hello["op"] = "hello";
+  hello["version"] = net::kWireVersion;
+  hello["worker"] = "soak";
+  hello["config"] = campaign::config_to_json(small_config());
+  hello["lease_size"] = 4;
+  hello["lease_count"] = campaign::lease_count(45, 4);
+  return hello;
 }
 
 // ---------------------------------------------------------------------------
@@ -327,6 +340,44 @@ TEST(Coordinator, DeeplyNestedLineRefusedCoordinatorKeepsServing) {
   worker.publish_or_verify_manifest(campaign::config_to_json(small_config(45)),
                                     4, campaign::lease_count(45, 4));
   EXPECT_TRUE(worker.try_claim(0));
+  coordinator.stop();
+}
+
+TEST(Coordinator, NonNumericSeqRefusedCoordinatorKeepsServing) {
+  // A hello whose seq is not a number used to throw again inside the
+  // error handler, out of the connection thread, and end the process.
+  TempDir state("gpudiff_coord_seq");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+
+  net::Socket s = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(s.valid());
+  ASSERT_EQ(s.send_all("{\"op\":\"hello\",\"seq\":\"x\"}\n", 2.0),
+            net::IoStatus::Ok);
+  support::Json resp;
+  ASSERT_EQ(net::recv_message(s, &resp, 5.0), net::IoStatus::Ok);
+  EXPECT_FALSE(resp.at("ok").as_bool());
+  EXPECT_TRUE(resp.at("fatal").as_bool());
+  EXPECT_EQ(resp.at("seq").as_int(), 0);
+
+  // The coordinator is still up for the next client.
+  net::Socket next = net::connect_tcp("127.0.0.1", coordinator.port(), 2.0);
+  ASSERT_TRUE(next.valid());
+  ASSERT_EQ(net::request_response(next, soak_hello(), 1, &resp, 5.0),
+            net::IoStatus::Ok);
+  EXPECT_TRUE(resp.at("ok").as_bool());
+  coordinator.stop();
+}
+
+TEST(Coordinator, OneShotConnectionsKeepFootprintFlat) {
+  TempDir state("gpudiff_coord_soak");
+  CoordinatorOptions copts;
+  copts.dir = state.str();
+  Coordinator coordinator(copts);
+  coordinator.start();
+  gpudiff::testing::expect_flat_footprint(coordinator.port(), soak_hello());
   coordinator.stop();
 }
 

@@ -492,13 +492,20 @@ int wait_for_exit(pid_t pid) {
   return status;
 }
 
-/// Shared flags matching small_config(45): both sides of every byte
-/// comparison must describe the same campaign.
-std::vector<std::string> worker_args(const std::string& dir) {
-  return {"--worker",     dir,    "--programs", "45",   "--inputs",
-          "5",            "--seed", "1234",     "--lease-size", "2",
-          "--heartbeat",  "0.05"};
+/// Shared flags matching small_config(programs): both sides of every
+/// byte comparison must describe the same campaign.
+std::vector<std::string> worker_args(const std::string& dir,
+                                     int programs = 45) {
+  return {"--worker",     dir,    "--programs", std::to_string(programs),
+          "--inputs",     "5",    "--seed",     "1234",
+          "--lease-size", "2",    "--heartbeat", "0.05"};
 }
+
+/// Programs in a SIGINT test's campaign.  A SIGINT is sent once the first
+/// done file appears, a few milliseconds later; the hundreds of leases
+/// still to run take far longer, so the signal always lands mid-campaign
+/// and the interrupted path, not a finished run, is what gets tested.
+constexpr int kSigintPrograms = 1000;
 
 TEST(FaultInjection, SigkilledWorkerIsReclaimedByteForByte) {
   if (campaign_binary() == nullptr)
@@ -547,9 +554,10 @@ TEST(FaultInjection, SigkilledWorkerIsReclaimedByteForByte) {
   rescue.worker_id = "rescuer";
   const WorkerOutcome outcome = campaign::run_worker(cfg, rescue);
   EXPECT_TRUE(outcome.campaign_complete);
-  if (orphaned_claim)
+  if (orphaned_claim) {
     EXPECT_GE(outcome.leases_stolen, 1)
         << "post-kill snapshot was:\n" << snapshot;
+  }
   // Whatever the kill window hit — mid-lease (stolen) or between publish
   // and release (reaped) — the rescuer leaves no claim behind.
   EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0);
@@ -563,11 +571,11 @@ TEST(FaultInjection, SigintWorkerFlushesLeaseAndStrandsNothing) {
   // stale-after wait) and the merge stays byte-identical.
   if (campaign_binary() == nullptr)
     GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
-  const auto cfg = small_config();
+  const auto cfg = small_config(kSigintPrograms);
   const std::string direct = canonical(diff::run_campaign(cfg));
   TempDir dir("gpudiff_sched_sigint");
 
-  auto args = worker_args(dir.str());
+  auto args = worker_args(dir.str(), kSigintPrograms);
   args.insert(args.end(),
               {"--stale-after", "100000", "--worker-id", "interrupted"});
   const pid_t pid = spawn_campaign(args);
@@ -578,20 +586,18 @@ TEST(FaultInjection, SigintWorkerFlushesLeaseAndStrandsNothing) {
   ASSERT_EQ(::kill(pid, SIGINT), 0);
   const int status = wait_for_exit(pid);
   ASSERT_TRUE(WIFEXITED(status));
-  // 3 = interrupted before campaign completion; 0 = the signal raced a
-  // fast campaign to the finish line.  Both are graceful exits.
-  EXPECT_TRUE(WEXITSTATUS(status) == 3 || WEXITSTATUS(status) == 0)
-      << "unexpected exit code " << WEXITSTATUS(status);
+  EXPECT_EQ(WEXITSTATUS(status), 3) << "3 = interrupted before completion";
   EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0)
       << "SIGINT stranded a claimed lease";
   // Every published done file is whole (atomic write-then-rename).
   for (const auto& entry : std::filesystem::directory_iterator(dir.str())) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("lease-", 0) == 0 && name.find(".done.json") != std::string::npos)
+    if (name.rfind("lease-", 0) == 0 && name.find(".done.json") != std::string::npos) {
       EXPECT_NO_THROW(campaign::block_from_json(
           support::Json::parse(support::read_file(entry.path().string())),
           nullptr, nullptr))
           << name;
+    }
   }
 
   // With every claim released, a finisher needs no staleness window at all.
@@ -613,14 +619,14 @@ TEST(FaultInjection, SigintShardModeFlushesCheckpointAndResumes) {
   // campaign with the uninterrupted bytes.
   if (campaign_binary() == nullptr)
     GTEST_SKIP() << "GPUDIFF_CAMPAIGN_BIN not set (run under CTest)";
-  const auto cfg = small_config();
+  const auto cfg = small_config(kSigintPrograms);
   const std::string direct = canonical(diff::run_campaign(cfg));
   TempDir dir("gpudiff_sched_sigint_shard");
 
   const std::vector<std::string> args = {
-      "--shard",  "0/1", "--checkpoint-dir", dir.str(), "--lease-size",
-      "1",        "--programs", "45",        "--inputs",  "5",
-      "--seed",   "1234"};
+      "--shard",    "0/1", "--checkpoint-dir", dir.str(),
+      "--lease-size", "1", "--programs", std::to_string(kSigintPrograms),
+      "--inputs",   "5",   "--seed",           "1234"};
   const pid_t pid = spawn_campaign(args);
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(wait_until([&] {
@@ -629,8 +635,7 @@ TEST(FaultInjection, SigintShardModeFlushesCheckpointAndResumes) {
   ASSERT_EQ(::kill(pid, SIGINT), 0);
   const int status = wait_for_exit(pid);
   ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_TRUE(WEXITSTATUS(status) == 3 || WEXITSTATUS(status) == 0)
-      << "unexpected exit code " << WEXITSTATUS(status);
+  EXPECT_EQ(WEXITSTATUS(status), 3) << "3 = interrupted before completion";
   EXPECT_EQ(count_files_with_suffix(dir.str(), ".claim"), 0)
       << "SIGINT stranded a claimed lease";
 

@@ -32,6 +32,8 @@
 #include "store/store.hpp"
 #include "support/json.hpp"
 
+#include "footprint.hpp"
+
 namespace {
 
 using namespace gpudiff;
@@ -502,6 +504,22 @@ TEST(StoreServe, DeeplyNestedLineRefusedServerKeepsServing) {
   Json summary = Json::object();
   summary["op"] = "summary";
   EXPECT_TRUE(client_query(server.port(), summary).at("ok").as_bool());
+  server.stop();
+}
+
+TEST(StoreServe, OneShotConnectionsKeepFootprintFlat) {
+  TempDir dir("gpudiff_store_soak");
+  const std::string db = dir.file("db");
+  store::ingest(db, "c1", {kGoldenReport});
+  store::ServeOptions options;
+  options.dir = db;
+  store::StoreServer server(options);
+  server.start();
+  Json hello = Json::object();
+  hello["op"] = "hello";
+  hello["version"] = net::kWireVersion;
+  hello["store_version"] = store::kStoreVersion;
+  gpudiff::testing::expect_flat_footprint(server.port(), hello);
   server.stop();
 }
 

@@ -387,6 +387,12 @@ TEST(PseudoAsm, ShowsLibrarySymbolsPerVendor) {
   EXPECT_NE(nv.find("PTX-sim"), std::string::npos);
   EXPECT_NE(amd.find("__ocml_fmod_f64"), std::string::npos);
   EXPECT_NE(amd.find("GCN-sim"), std::string::npos);
+  // The load of the accumulator and the final print name real registers.
+  EXPECT_NE(nv.find("\n  ld.param.f64 %fd1, [comp];\n"), std::string::npos) << nv;
+  EXPECT_NE(nv.find("\n  // vprintf(\"%.17g\", %fd5)\n}\n"), std::string::npos) << nv;
+  EXPECT_NE(amd.find("\n  v[2:3] = s_load b64 [comp]\n"), std::string::npos) << amd;
+  EXPECT_NE(amd.find("\n  ; printf \"%.17g\", v[10:11]\ns_endpgm\n"), std::string::npos)
+      << amd;
 }
 
 TEST(PseudoAsm, ShowsFmaAfterContraction) {
